@@ -36,7 +36,7 @@ from .twisted import (TwistedIntervalPoset, circ_lJ, demazure_max_inverse,
                       mr_positive_subexpression)
 from .weyl import (ParabolicContext, WeylElement, WeylGroup, Word,
                    bruhat_leq, canonical_reduced_word, descents,
-                   enumerate_ball, inversion_set, multiply,
-                   parabolic_decompose, simple_reflection, weyl_group)
+                   enumerate_ball, inversion_set, parabolic_decompose,
+                   simple_reflection, weyl_group)
 
 __version__ = "0.1.0"

@@ -23,6 +23,7 @@ from .posets import (ReflectionOrder, check_pure, check_thin,
                      el_label_twisted_interval, order_complex,
                      reflection_order_covering, reflection_order_from_word,
                      verify_el)
+from .ratmat import RatMatrix
 from .twisted import TwistedIntervalPoset, j_leq, j_length, minimal_c
 from .weyl import ParabolicContext, WeylGroup
 
@@ -203,8 +204,6 @@ def battery_tnn(n: int, seed: int, count: int = 100) -> list:
     bad_pos = bad_neg = 0
     for k in range(count):
         word_len = rng.integer(2, 6)
-        m = None
-        from .ratmat import RatMatrix
         m = RatMatrix.identity(n)
         for _ in range(word_len):
             kind = rng.integer(0, 2)

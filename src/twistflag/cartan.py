@@ -14,6 +14,7 @@ Any flip of these conventions must stay confined to this module and
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -80,9 +81,7 @@ class CartanMatrix:
                 if d[i] * a[i][j] != d[j] * a[j][i]:
                     raise ValueError("matrix is not symmetrizable")
         # Clear denominators so the certificate is integral.
-        lcm = 1
-        for x in d:
-            lcm = lcm * x.denominator // _gcd(lcm, x.denominator)
+        lcm = math.lcm(*(x.denominator for x in d))
         out = tuple(x * lcm for x in d)
         if any(x <= 0 for x in out):
             raise ValueError("symmetrizer is not positive")
@@ -115,12 +114,6 @@ class CartanMatrix:
 
     def __repr__(self) -> str:
         return f"CartanMatrix({[list(r) for r in self.entries]})"
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # Matrices used throughout the test batteries.

@@ -1,9 +1,8 @@
 """The type-A pinning: SL_n generators, stratum identification, and the
 totally positive samplers.
 
-Stratum extraction works by structured Gaussian elimination: only row and
-column operations lying in the relevant Borel subgroups are applied, so
-the signed permutation matrix left at the end names the cell.  The
+Stratum extraction sweeps the columns with operations of one Borel
+subgroup; the pivot rows left at the end name the cell.  The
 rank-profile dictionaries are not taken from the literature; the test
 suite re-derives them by sampling b1 * lift(w) * b2 over whole symmetric
 groups and checking recovery.
@@ -134,58 +133,54 @@ class PinnedGroup:
 
 # -- stratum extraction ------------------------------------------------------
 
-def _extract_perm(g: RatMatrix, left_to_right: bool, pivot_bottom: bool) -> tuple:
-    """Permutation of the Bruhat-type cell containing g.
+def _column_sweep(g: RatMatrix, left_to_right: bool, pivot_bottom: bool) -> tuple:
+    """Sweep the columns of g with column operations of one Borel subgroup.
 
-    Only row operations adding the pivot row to rows on the allowed side
-    and column operations within the sweep direction are used, i.e. the
-    elimination multiplies g by elements of the two Borel subgroups that
-    define the cell.  What remains is a signed permutation matrix.
+    Columns are taken left to right (B+) or right to left (B-); each is
+    scaled to 1 at its bottom-most (pivot_bottom) or top-most nonzero
+    entry, and that row is then cleared in the columns still to come.
+    Returns (m, p): m is the canonical representative of g*B+ or g*B-,
+    and p[j] is the pivot row of column j.  Row operations of the left
+    Borel subgroup (B+ for bottom-most pivots, B- for top-most) leave p
+    unchanged, so p names the cell through g.
     """
     n = g.n
-    m = [[Fraction(x) for x in row] for row in g.rows]
-    cols = range(n) if left_to_right else range(n - 1, -1, -1)
-    used = set()
+    cols = [[Fraction(g.rows[i][j]) for i in range(n)] for j in range(n)]
+    order = range(n) if left_to_right else range(n - 1, -1, -1)
     p = [None] * n
-    for j in cols:
-        cand = [i for i in range(n) if i not in used and m[i][j] != 0]
+    for step, j in enumerate(order):
+        cand = [i for i in range(n) if cols[j][i] != 0]
         if not cand:
             raise ZeroDivisionError("matrix is singular")
         i0 = max(cand) if pivot_bottom else min(cand)
         p[j] = i0
-        used.add(i0)
-        pv = m[i0][j]
-        for i in cand:
-            if i != i0:
-                f = m[i][j] / pv
-                m[i] = [x - f * y for x, y in zip(m[i], m[i0])]
-        rest = range(j + 1, n) if left_to_right else range(j - 1, -1, -1)
-        for k in rest:
-            if m[i0][k] != 0:
-                f = m[i0][k] / pv
-                for r in range(n):
-                    m[r][k] -= f * m[r][j]
-    return tuple(p)
+        pv = cols[j][i0]
+        cols[j] = [x / pv for x in cols[j]]
+        for k in order[step + 1:]:
+            f = cols[k][i0]
+            if f != 0:
+                cols[k] = [x - f * y for x, y in zip(cols[k], cols[j])]
+    return RatMatrix(list(zip(*cols))), tuple(p)
 
 
 def bruhat_stratum(pin: PinnedGroup, g: RatMatrix) -> WeylElement:
     """The w with g in B+ w B+ (columns left to right, bottom-most pivots)."""
-    return pin.weyl_of_perm(_extract_perm(g, True, True))
+    return pin.weyl_of_perm(_column_sweep(g, True, True)[1])
 
 
 def birkhoff_stratum(pin: PinnedGroup, g: RatMatrix) -> WeylElement:
     """The v with g in B- v B+ (columns left to right, top-most pivots)."""
-    return pin.weyl_of_perm(_extract_perm(g, True, False))
+    return pin.weyl_of_perm(_column_sweep(g, True, False)[1])
 
 
 def double_minus_stratum(pin: PinnedGroup, g: RatMatrix) -> WeylElement:
     """The u with g in B- u B- (columns right to left, top-most pivots)."""
-    return pin.weyl_of_perm(_extract_perm(g, False, False))
+    return pin.weyl_of_perm(_column_sweep(g, False, False)[1])
 
 
 def mixed_stratum(pin: PinnedGroup, g: RatMatrix) -> WeylElement:
     """The v with g in B+ v B- (columns right to left, bottom-most pivots)."""
-    return pin.weyl_of_perm(_extract_perm(g, False, True))
+    return pin.weyl_of_perm(_column_sweep(g, False, True)[1])
 
 
 def richardson_stratum(pin: PinnedGroup, g: RatMatrix) -> tuple:
@@ -213,36 +208,12 @@ def twisted_stratum(pin: PinnedGroup, g: RatMatrix, J: ParabolicContext) -> tupl
 
 def canonical_flag(g: RatMatrix) -> RatMatrix:
     """The unique representative of g*B+ with pivot-normalized columns."""
-    n = g.n
-    m = [[Fraction(x) for x in row] for row in g.rows]
-    for j in range(n):
-        i0 = max(i for i in range(n) if m[i][j] != 0)
-        pv = m[i0][j]
-        for r in range(n):
-            m[r][j] /= pv
-        for k in range(j + 1, n):
-            f = m[i0][k]
-            if f != 0:
-                for r in range(n):
-                    m[r][k] -= f * m[r][j]
-    return RatMatrix(m)
+    return _column_sweep(g, True, True)[0]
 
 
 def canonical_flag_minus(g: RatMatrix) -> RatMatrix:
     """The unique representative of g*B- (columns swept right to left)."""
-    n = g.n
-    m = [[Fraction(x) for x in row] for row in g.rows]
-    for j in range(n - 1, -1, -1):
-        i0 = min(i for i in range(n) if m[i][j] != 0)
-        pv = m[i0][j]
-        for r in range(n):
-            m[r][j] /= pv
-        for k in range(j - 1, -1, -1):
-            f = m[i0][k]
-            if f != 0:
-                for r in range(n):
-                    m[r][k] -= f * m[r][j]
-    return RatMatrix(m)
+    return _column_sweep(g, False, False)[0]
 
 
 # -- membership patterns ------------------------------------------------------

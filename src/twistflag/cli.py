@@ -13,7 +13,7 @@ import sys
 import time
 
 from .batteries import interval_certificates, run_suite
-from .cartan import CartanMatrix
+from .cartan import CartanMatrix, cartan_A
 from .errors import BudgetExceeded, Inconclusive, TwistflagError
 from .posets import poset_to_dot, poset_to_json
 from .twisted import j_interval, j_length, j_leq, minimal_c
@@ -139,6 +139,10 @@ def cmd_sample(args) -> int:
     from .cells import ParamSampler, PinnedGroup, sample_twisted_cell
     from .twisted import j_length
     cartan = _load_cartan(args)
+    if cartan.entries != cartan_A(cartan.size).entries:
+        print("usage error: sample needs a type A Cartan matrix (the SL_n pinning)",
+              file=sys.stderr)
+        return EXIT_USAGE
     n = cartan.size + 1
     try:
         pin = PinnedGroup(n)

@@ -9,10 +9,12 @@ and does not lean on the general shellability theorems.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .errors import MissingReflection, NonReducedWord
+from .ratmat import row_reduce
 from .weyl import WeylElement, WeylGroup
 
 ZERO_HAT = ("^0",)
@@ -165,53 +167,26 @@ def check_thin(p: FinitePoset):
 
 def root_of_reflection(t: WeylElement) -> tuple:
     """The positive root vector beta with t(beta) = -beta, primitive and integral."""
-    g = t.group
-    n = g.n
-    m = t.mat
-    rows = [[Fraction(m[i][j] + (1 if i == j else 0)) for j in range(n)] for i in range(n)]
+    n = t.group.n
     # null space of (t + id), expected one-dimensional
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, n) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(n):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
+    rows, pivots = row_reduce(
+        [[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(t.mat)], n)
     free = [c for c in range(n) if c not in pivots]
     if len(free) != 1:
         raise ValueError("element is not a reflection")
     f = free[0]
     vec = [Fraction(0)] * n
     vec[f] = Fraction(1)
-    for row_idx, c in enumerate(pivots):
-        vec[c] = -rows[row_idx][f]
-    lcm = 1
-    for x in vec:
-        lcm = lcm * x.denominator // _gcd(lcm, x.denominator)
-    ints = [int(x * lcm) for x in vec]
-    gg = 0
-    for x in ints:
-        gg = _gcd(gg, abs(x))
-    ints = [x // gg for x in ints]
+    for row, c in zip(rows, pivots):
+        vec[c] = -row[f]
+    # With vec[f] = 1, clearing denominators already gives a primitive vector.
+    scale = math.lcm(*(x.denominator for x in vec))
+    ints = [int(x * scale) for x in vec]
     if any(x < 0 for x in ints):
         if any(x > 0 for x in ints):
             raise ValueError("root vector is not sign-coherent")
         ints = [-x for x in ints]
     return tuple(ints)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _in_open_cone(beta, b1, b2):
@@ -705,8 +680,6 @@ def poset_to_json(p: FinitePoset) -> dict:
 
 
 def poset_from_json(data: dict) -> FinitePoset:
-    elements = [tuple(e) if isinstance(e, list) else e for e in data["elements"]]
-
     def detuple(e):
         if isinstance(e, list):
             return tuple(detuple(x) for x in e)

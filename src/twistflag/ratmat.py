@@ -11,6 +11,41 @@ from typing import Iterable, Sequence
 from .errors import DecompositionFails
 
 
+def row_reduce(rows: Sequence[Sequence], ncols: int):
+    """Gauss-Jordan elimination over Fraction on the first ncols columns.
+
+    Returns (rows, pivot_cols): the reduced rows, each pivot row scaled
+    to 1 at its pivot column and that column cleared in every other row,
+    and the pivot columns in order.  Columns past ncols are carried along.
+    """
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return m, pivots
+
+
+def inverse_rows(rows: Sequence[Sequence]) -> list:
+    """Rows of the inverse of a square matrix, as Fractions, by reducing [M | I]."""
+    n = len(rows)
+    reduced, pivots = row_reduce(
+        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)], n)
+    if len(pivots) < n:
+        raise ZeroDivisionError("matrix is singular")
+    return [row[n:] for row in reduced]
+
+
 class RatMatrix:
     __slots__ = ("rows", "n")
 
@@ -64,21 +99,7 @@ class RatMatrix:
         return out * sign
 
     def inverse(self) -> "RatMatrix":
-        n = self.n
-        aug = [[Fraction(self.rows[i][j]) for j in range(n)]
-               + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        for c in range(n):
-            piv = next((r for r in range(c, n) if aug[r][c] != 0), None)
-            if piv is None:
-                raise ZeroDivisionError("matrix is singular")
-            aug[c], aug[piv] = aug[piv], aug[c]
-            pv = aug[c][c]
-            aug[c] = [x / pv for x in aug[c]]
-            for r in range(n):
-                if r != c and aug[r][c] != 0:
-                    f = aug[r][c]
-                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
-        return RatMatrix(tuple(tuple(aug[i][n:]) for i in range(n)))
+        return RatMatrix(inverse_rows(self.rows))
 
     def is_identity(self) -> bool:
         return all(self.rows[i][j] == (1 if i == j else 0)

@@ -24,16 +24,17 @@ def j_length(w: WeylElement, J: ParabolicContext) -> int:
     return rep.length() - part.length()
 
 
-def _witnesses(v: WeylElement, w: WeylElement, J: ParabolicContext) -> list:
+def _witnesses(v: WeylElement, w: WeylElement, J: ParabolicContext):
+    """The u in W_J with v^J u <= w^J and w_J <= u^{-1} v_J, in enumeration order."""
     g = J.group
     vj_rep, vj = J.decompose(v)
     wj_rep, wj = J.decompose(w)
+    if not g.bruhat_leq(vj_rep, wj_rep):
+        return  # no witness: v^J u <= w^J forces v^J <= w^J
     bound = wj_rep.length() + vj_rep.length()
-    out = []
     for u in J.elements(max_length=bound):
         if g.bruhat_leq(vj_rep * u, wj_rep) and g.bruhat_leq(wj, u.inverse() * vj):
-            out.append(u)
-    return out
+            yield u
 
 
 def j_leq(v: WeylElement, w: WeylElement, J: ParabolicContext) -> bool:
@@ -42,17 +43,7 @@ def j_leq(v: WeylElement, w: WeylElement, J: ParabolicContext) -> bool:
     got = J._jleq_cache.get(key)
     if got is not None:
         return got
-    g = J.group
-    vj_rep, vj = J.decompose(v)
-    wj_rep, wj = J.decompose(w)
-    out = False
-    if g.bruhat_leq(vj_rep, wj_rep):
-        # otherwise no witness: v^J u <= w^J forces v^J <= w^J
-        bound = wj_rep.length() + vj_rep.length()
-        for u in J.elements(max_length=bound):
-            if g.bruhat_leq(vj_rep * u, wj_rep) and g.bruhat_leq(wj, u.inverse() * vj):
-                out = True
-                break
+    out = any(True for _ in _witnesses(v, w, J))
     J._jleq_cache[key] = out
     return out
 
@@ -64,7 +55,7 @@ def minimal_c(v: WeylElement, w: WeylElement, J: ParabolicContext) -> WeylElemen
     got = J._minc_cache.get(key)
     if got is not None:
         return got
-    cands = _witnesses(v, w, J)
+    cands = list(_witnesses(v, w, J))
     if not cands:
         raise NotComparable("v <=J w fails; no witness exists")
     c = min(cands, key=g.length)

@@ -16,6 +16,7 @@ from typing import Iterable, Optional, Sequence
 
 from .cartan import CartanMatrix
 from .errors import BudgetExceeded
+from .ratmat import inverse_rows
 
 Word = tuple  # sequence of node indices
 
@@ -31,34 +32,6 @@ def _mat_mul(a, b, n):
 
 def _identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def _mat_inv_int(mat, n):
-    """Inverse of an integer matrix with determinant +-1, kept integral."""
-    from fractions import Fraction
-    aug = [[Fraction(mat[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular; not a Weyl element")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            v = aug[i][n + j]
-            if v.denominator != 1:
-                raise ValueError("inverse is not integral; not a Weyl element")
-            row.append(int(v))
-        out.append(tuple(row))
-    return tuple(out)
 
 
 class WeylElement:
@@ -83,7 +56,13 @@ class WeylElement:
         return hash(self.mat)
 
     def inverse(self) -> "WeylElement":
-        return self.group._wrap(_mat_inv_int(self.mat, self.group.n))
+        try:
+            rows = inverse_rows(self.mat)
+        except ZeroDivisionError:
+            raise ValueError("matrix is singular; not a Weyl element") from None
+        if any(x.denominator != 1 for row in rows for x in row):
+            raise ValueError("inverse is not integral; not a Weyl element")
+        return self.group._wrap(tuple(tuple(int(x) for x in row) for row in rows))
 
     def act(self, vec: Sequence[int]) -> tuple:
         """Image of a root-lattice vector (coordinates in the simple roots)."""
@@ -317,14 +296,6 @@ def simple_reflection(cartan: CartanMatrix, i: int) -> WeylElement:
     return weyl_group(cartan).simple(i)
 
 
-def multiply(x: WeylElement, y: WeylElement) -> WeylElement:
-    return x * y
-
-
-def length(w: WeylElement) -> int:
-    return w.group.length(w)
-
-
 def descents(w: WeylElement, side: str) -> set:
     return w.group.descents(w, side)
 
@@ -345,11 +316,6 @@ def enumerate_ball(cartan: CartanMatrix, max_length: int,
                    restrict_to=None, budget: int = DEFAULT_BUDGET) -> list:
     letters = None if restrict_to is None else restrict_to.J
     return weyl_group(cartan, budget).ball(max_length, letters)
-
-
-def is_reduced(group: WeylGroup, word: Iterable[int]) -> bool:
-    word = tuple(word)
-    return group.length(group.from_word(word)) == len(word)
 
 
 def element_to_json(w: WeylElement) -> list:

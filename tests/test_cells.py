@@ -5,8 +5,9 @@ import pytest
 from twistflag import (DecompositionFails, NotComparable, ParabolicContext,
                        ParamSampler, PatternViolation, PinnedGroup, RatMatrix,
                        big_cell_test, birkhoff_stratum, bruhat_stratum,
-                       canonical_flag, cartan_A, double_bruhat_stratum,
-                       double_minus_stratum, j_leq, j_length,
+                       canonical_flag, canonical_flag_minus, cartan_A,
+                       double_bruhat_stratum, double_minus_stratum, j_leq,
+                       j_length,
                        matrix_from_json, matrix_to_json, mixed_stratum,
                        richardson_stratum, sample_mr, sample_twisted_cell,
                        sigma_factorize, sigma_recompose, tnn_test,
@@ -60,6 +61,8 @@ def test_ratmat_basics():
     m = RatMatrix([[1, 2], [3, 4]])
     assert m.det() == -2
     assert (m * m.inverse()).is_identity()
+    with pytest.raises(ZeroDivisionError):
+        RatMatrix([[1, 2], [2, 4]]).inverse()
     assert m.transpose().rows == ((1, 3), (2, 4))
     assert m.minor([0], [1]) == 2
     assert m.leading_minors() == [1, -2]
@@ -244,7 +247,6 @@ def test_one_dim_cells_both_signs(pin3):
     """J-length difference one: the +-parameter sampler covers both signs
     and stays in the stratum."""
     g = pin3.weyl
-    from twistflag.cells import _extract_perm  # noqa: F401  (import guard)
     for J_set in (set(), {0}, {1}, {0, 1}):
         J = ParabolicContext(g, J_set)
         for v in g.ball(3):
@@ -317,6 +319,17 @@ def test_canonical_flag_invariance(pin3):
         b = _rand_upper(pin3, rng)
         assert canonical_flag(m * b) == canonical_flag(m)
         assert canonical_flag(m * pin3.x(1, rng.integer())) == canonical_flag(m)
+
+
+def test_canonical_flag_minus_invariance(pin3):
+    rng = ParamSampler(5).child("flag-minus")
+    for _ in range(20):
+        m = pin3.x(0, rng.integer()) * pin3.lift_simple(1) * pin3.y(0, rng.integer())
+        b = _rand_lower(pin3, rng)
+        assert canonical_flag_minus(m * b) == canonical_flag_minus(m)
+        assert canonical_flag_minus(m * pin3.y(1, rng.integer())) == canonical_flag_minus(m)
+    with pytest.raises(ZeroDivisionError):
+        canonical_flag_minus(RatMatrix([[1, 2, 0], [2, 4, 0], [0, 0, 1]]))
 
 
 def test_tnn(pin2, pin3):

@@ -129,7 +129,7 @@ def test_exit_code_on_check_failure(capsys, monkeypatch):
     assert code == 3
 
 
-def test_sample_verb(capsys):
+def test_sample_verb(capsys, tmp_path):
     code, out, _ = run(capsys, "sample", "2", "1", "--J", "2",
                        "--count", "2", "--seed", "3")
     assert code == 0
@@ -145,3 +145,8 @@ def test_sample_verb(capsys):
     matrix_from_json(sample["matrix"])
     code, _, err = run(capsys, "sample", "1", "", "--J", "")
     assert code == 4 and "empty" in err
+    # the SL_n pinning is type A only: a B2 config is a usage error
+    cfg = tmp_path / "b2.json"
+    cfg.write_text(json.dumps({"cartan": [[2, -2], [-1, 2]], "labels": ["a", "b"]}))
+    code, out, err = run(capsys, "--config", str(cfg), "sample", "a", "b a")
+    assert code == 4 and out == "" and "type A" in err

@@ -95,6 +95,10 @@ def test_root_of_reflection(A2):
               b2.simple(0) * b2.simple(1) * b2.simple(0),
               b2.simple(1) * b2.simple(0) * b2.simple(1))}
     assert roots == {(1, 0), (0, 1), (1, 1), (1, 2)}
+    w0 = b2.from_word((0, 1, 0, 1))
+    assert w0.mat == ((-1, 0), (0, -1))
+    with pytest.raises(ValueError):
+        root_of_reflection(w0)
 
 
 def test_reflection_order_covering_two_chains():

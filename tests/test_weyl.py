@@ -3,9 +3,10 @@ import itertools
 import pytest
 
 from twistflag import (BudgetExceeded, CartanMatrix, ParabolicContext,
-                       bruhat_leq, canonical_reduced_word, cartan_A,
-                       cartan_B2, cartan_G2, cartan_affine_A1, descents,
-                       enumerate_ball, inversion_set, simple_reflection)
+                       WeylElement, bruhat_leq, canonical_reduced_word,
+                       cartan_A, cartan_B2, cartan_G2, cartan_affine_A1,
+                       descents, enumerate_ball, inversion_set,
+                       simple_reflection)
 from twistflag.weyl import weyl_group
 
 
@@ -217,6 +218,15 @@ def test_element_serialization(A2):
     w = A2.simple(0) * A2.simple(1)
     assert element_to_json(w) == [0, 1]
     assert element_from_json(A2, [0, 1]) == w
+
+
+def test_inverse(A2):
+    for w in A2.ball(3):
+        assert (w * w.inverse()).is_identity()
+    with pytest.raises(ValueError):
+        WeylElement(A2, ((2, 0), (0, 1))).inverse()  # inverse not integral
+    with pytest.raises(ValueError):
+        WeylElement(A2, ((1, 1), (1, 1))).inverse()  # singular
 
 
 def test_mismatched_groups_rejected():
