@@ -63,7 +63,7 @@ def order_for_interval(interval: TwistedIntervalPoset) -> ReflectionOrder:
     occur.
     """
     g = interval.J.group
-    everything = ParabolicContext(g, range(g.n))
+    everything = g.full_context()
     if everything.is_finite():
         return reflection_order_from_word(g, g.canonical_word(everything.longest()))
     labels = {w2 * w1.inverse() for (w1, w2) in interval.covers}
@@ -98,7 +98,7 @@ def battery_flags(n: int, seed: int, samples: int = 5) -> list:
     pin = PinnedGroup(n)
     g = pin.weyl
     sampler = ParamSampler(seed)
-    elements = ParabolicContext(g, range(g.n)).elements()
+    elements = g.full_context().elements()
     checks = []
     bad = []
     count = 0
@@ -240,7 +240,7 @@ def battery_doubleflag(base: CartanMatrix, seed: int, max_rank: int = 3,
     tc = ThickenedCartan(base)
     g = tc.base_group
     checks = []
-    full = ParabolicContext(g, range(g.n))
+    full = g.full_context()
     if not full.is_finite():
         return [_inconclusive("doubleflag: base group must be finite", "")]
     elements = full.elements()

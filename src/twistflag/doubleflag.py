@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from .cartan import CartanMatrix
 from .cells import PinnedGroup, sample_mr
-from .errors import AmbiguousMinimum, NotMember
+from .errors import AmbiguousMinimum, NonReducedWord, NotMember
 from .posets import (LEFT, RIGHT, EdgeLabel, FinitePoset, LabeledPoset,
                      ReflectionOrder, ZERO_HAT, reflection_order_covering)
 from .twisted import demazure_min
@@ -49,8 +49,8 @@ class ThickenedCartan:
     def th(self, w: WeylElement, v: WeylElement) -> WeylElement:
         """th(w, v) = w s_inf v in the thickened group; length l(w)+l(v)+1."""
         out = self.embed(w) * self.ext_group.simple(self.inf) * self.embed(v)
-        expected = w.length() + v.length() + 1
-        assert self.ext_group.length(out) == expected
+        if self.ext_group.length(out) != w.length() + v.length() + 1:
+            raise NonReducedWord("w s_inf v is not length-additive")
         return out
 
 
@@ -177,7 +177,8 @@ def q_el_label(interval: FinitePoset, tc: ThickenedCartan,
             raw[(i, j)] = (RIGHT, t)
         else:
             # a rank-one step moves only one endpoint of the embedded interval
-            assert tc.th(w1, v1) == top2
+            if tc.th(w1, v1) != top2:
+                raise ValueError("cover moves both endpoints")
             t = tc.embed(u1) * tc.embed(u2).inverse()
             raw[(i, j)] = (LEFT, t)
     if order is None:

@@ -20,33 +20,32 @@ class ChainComplexZ:
 
     ``faces[k]`` is the ordered basis of k-faces (sorted vertex tuples);
     ``boundary(k)`` maps k-chains to (k-1)-chains.  The composite of two
-    consecutive boundaries is asserted to vanish on construction.
+    consecutive boundaries is checked to vanish on construction.
     """
 
     def __init__(self, faces: dict, boundaries: dict):
         self.faces = faces
         self.boundaries = boundaries
+        columns = {k: _sparse_columns(m) for k, m in boundaries.items()}
         for k in sorted(boundaries):
             if k - 1 in boundaries:
-                prod = _mat_mul(boundaries[k - 1], boundaries[k])
-                if any(any(x != 0 for x in row) for row in prod):
-                    raise AssertionError("boundary of boundary is nonzero")
+                lower = columns[k - 1]
+                for col in columns[k]:
+                    # column of d_{k-1} d_k, accumulated over nonzero entries
+                    acc: dict = {}
+                    for r, x in col:
+                        for i, y in lower[r]:
+                            acc[i] = acc.get(i, 0) + y * x
+                    if any(acc.values()):
+                        raise AssertionError("boundary of boundary is nonzero")
 
     def boundary(self, k: int):
         return self.boundaries.get(k, [])
 
 
-def _mat_mul(a, b):
-    if not a or not b:
-        return []
-    rows, mid, cols = len(a), len(b), len(b[0]) if b else 0
-    if not a[0]:
-        return [[0] * cols for _ in range(rows)]
-    out = []
-    for i in range(rows):
-        arow = a[i]
-        out.append([sum(arow[k] * b[k][j] for k in range(mid)) for j in range(cols)])
-    return out
+def _sparse_columns(mat) -> list:
+    """Each column of a dense matrix as its (row, entry) pairs with entry != 0."""
+    return [[(i, x) for i, x in enumerate(col) if x] for col in zip(*mat)]
 
 
 def boundary_matrices(c: SimplicialComplex) -> ChainComplexZ:

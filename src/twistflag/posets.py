@@ -14,7 +14,6 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .errors import MissingReflection, NonReducedWord
-from .ratmat import row_reduce
 from .weyl import WeylElement, WeylGroup
 
 ZERO_HAT = ("^0",)
@@ -165,32 +164,43 @@ def check_thin(p: FinitePoset):
 
 # -- reflection orders ----------------------------------------------------
 
+def _positive(vec: tuple) -> tuple:
+    """The positive one of +-vec (roots are sign-coherent)."""
+    return tuple(-x for x in vec) if any(x < 0 for x in vec) else vec
+
+
 def root_of_reflection(t: WeylElement) -> tuple:
-    """The positive root vector beta with t(beta) = -beta, primitive and integral."""
+    """The positive root vector beta with t(beta) = -beta, primitive and integral.
+
+    A reflection acts as v -> v - <v, beta^vee> beta, so every column of
+    1 - t is an integer multiple of beta: the first nonzero column,
+    divided by its gcd, is beta up to sign.  Anything else (a column off
+    that line, or t(beta) != -beta) is not a reflection.
+    """
     n = t.group.n
-    # null space of (t + id), expected one-dimensional
-    rows, pivots = row_reduce(
-        [[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(t.mat)], n)
-    free = [c for c in range(n) if c not in pivots]
-    if len(free) != 1:
+    m = t.mat
+    cols = [tuple((i == j) - m[i][j] for i in range(n)) for j in range(n)]
+    first = next((c for c in cols if any(c)), None)
+    if first is None:
         raise ValueError("element is not a reflection")
-    f = free[0]
-    vec = [Fraction(0)] * n
-    vec[f] = Fraction(1)
-    for row, c in zip(rows, pivots):
-        vec[c] = -row[f]
-    # With vec[f] = 1, clearing denominators already gives a primitive vector.
-    scale = math.lcm(*(x.denominator for x in vec))
-    ints = [int(x * scale) for x in vec]
-    if any(x < 0 for x in ints):
-        if any(x > 0 for x in ints):
-            raise ValueError("root vector is not sign-coherent")
-        ints = [-x for x in ints]
-    return tuple(ints)
+    g = math.gcd(*first)
+    beta = tuple(x // g for x in first)
+    p = next(k for k, x in enumerate(beta) if x)
+    if any(c[k] * beta[p] != c[p] * beta[k] for c in cols for k in range(n)):
+        raise ValueError("element is not a reflection")
+    if t.act(beta) != tuple(-x for x in beta):
+        raise ValueError("element is not a reflection")
+    if any(x < 0 for x in beta) and any(x > 0 for x in beta):
+        raise ValueError("root vector is not sign-coherent")
+    return _positive(beta)
 
 
 def _in_open_cone(beta, b1, b2):
-    """Solve beta = x*b1 + y*b2 exactly; True iff consistent with x,y > 0."""
+    """True iff beta = x*b1 + y*b2 with rationals x, y > 0.
+
+    With det the first nonzero 2x2 minor of (b1, b2), Cramer's rule gives
+    x = xn/det and y = yn/det; everything is compared after scaling by det.
+    """
     n = len(beta)
     cols = None
     for i in range(n):
@@ -204,37 +214,49 @@ def _in_open_cone(beta, b1, b2):
     if cols is None:
         return False  # b1, b2 parallel
     i, j, det = cols
-    x = Fraction(beta[i] * b2[j] - beta[j] * b2[i], det)
-    y = Fraction(b1[i] * beta[j] - b1[j] * beta[i], det)
-    if x <= 0 or y <= 0:
+    xn = beta[i] * b2[j] - beta[j] * b2[i]
+    yn = b1[i] * beta[j] - b1[j] * beta[i]
+    if xn * det <= 0 or yn * det <= 0:
         return False
-    for k in range(n):
-        if x * b1[k] + y * b2[k] != beta[k]:
-            return False
-    return True
+    return all(xn * b1[k] + yn * b2[k] == beta[k] * det for k in range(n))
 
 
-def _dihedral_reflections(t1: WeylElement, t2: WeylElement, max_count: int):
-    """Reflections of <t1,t2>: the conjugation orbit of {t1,t2} under t1*t2.
+def _dihedral_roots(t1: WeylElement, t2: WeylElement, b1: tuple, b2: tuple,
+                    max_count: int) -> dict:
+    """Roots of the reflections of <t1,t2>, in breadth-first order.
 
-    Returns (reflections, exhausted); exhausted is False when the count
-    bound was hit while the subgroup was still producing new elements
-    (an infinite dihedral pair).
+    The reflections are the conjugation orbit of {t1, t2} under
+    rot = t1*t2, and rot s_beta rot^-1 = s_rot(beta), so the orbit is
+    walked on positive root vectors.  Each root maps to (seed, k) with
+    seed in (t1, t2) and root = +-rot^k(root of seed).  The walk stops
+    once more than ``max_count`` roots are known (an infinite dihedral
+    pair never runs dry).
     """
     rot = t1 * t2
     rotinv = t2 * t1
-    seen = {t1: None, t2: None}
-    frontier = [t1, t2]
+    seen = {b1: (t1, 0), b2: (t2, 0)}
+    frontier = [b1, b2]
     while frontier and len(seen) <= max_count:
         nxt = []
-        for c in frontier:
-            for left, right in ((rot, rotinv), (rotinv, rot)):
-                cc = left * c * right
-                if cc not in seen:
-                    seen[cc] = None
-                    nxt.append(cc)
+        for beta in frontier:
+            seed, k = seen[beta]
+            for r, step in ((rot, 1), (rotinv, -1)):
+                img = _positive(r.act(beta))
+                if img not in seen:
+                    seen[img] = (seed, k + step)
+                    nxt.append(img)
         frontier = nxt
-    return list(seen), not frontier
+    return seen
+
+
+def _dihedral_conjugate(t1: WeylElement, t2: WeylElement, seed: WeylElement,
+                        k: int) -> WeylElement:
+    """rot^k * seed * rot^-k with rot = t1*t2: the reflection at (seed, k)."""
+    left, right = (t1 * t2, t2 * t1) if k > 0 else (t2 * t1, t1 * t2)
+    out = seed
+    for _ in range(abs(k)):
+        out = left * out * right
+    return out
 
 
 class ReflectionOrder:
@@ -258,6 +280,7 @@ class ReflectionOrder:
                 raise ValueError("order entry is not a reflection")
             self._pos[t] = k
         self._roots = [root_of_reflection(t) for t in self.reflections]
+        self._root_pos = {beta: k for k, beta in enumerate(self._roots)}
         if check:
             bad = self.dihedral_violation()
             if bad is not None:
@@ -281,26 +304,26 @@ class ReflectionOrder:
         For every listed pair, every listed reflection of their dihedral
         subgroup must sit between them exactly when its root lies in the
         open cone of their roots; for initial segments, cone reflections
-        may not be missing from the list either.
+        may not be missing from the list either.  The returned triple is
+        (t1, t2, c) with c the offending reflection.
         """
         L = len(self.reflections)
         bound = 2 * L + 4
         for i in range(L):
+            t1, b1 = self.reflections[i], self._roots[i]
             for j in range(i + 1, L):
-                t1, t2 = self.reflections[i], self.reflections[j]
-                b1, b2 = self._roots[i], self._roots[j]
-                refs, exhausted = _dihedral_reflections(t1, t2, bound)
-                for c in refs:
-                    if c == t1 or c == t2:
+                t2, b2 = self.reflections[j], self._roots[j]
+                for beta, (seed, k) in _dihedral_roots(t1, t2, b1, b2, bound).items():
+                    if beta == b1 or beta == b2:
                         continue
-                    inside = _in_open_cone(root_of_reflection(c), b1, b2)
-                    if c in self._pos:
-                        between = i < self._pos[c] < j
-                        if between != inside:
-                            return (t1, t2, c)
+                    inside = _in_open_cone(beta, b1, b2)
+                    at = self._root_pos.get(beta)
+                    if at is not None:
+                        if (i < at < j) != inside:
+                            return (t1, t2, self.reflections[at])
                     elif inside and self.initial_segment:
                         # an inversion sequence is convexly closed
-                        return (t1, t2, c)
+                        return (t1, t2, _dihedral_conjugate(t1, t2, seed, k))
         return None
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 from .cartan import CartanMatrix
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, NonReducedWord
 from .ratmat import inverse_rows
 
 Word = tuple  # sequence of node indices
@@ -108,6 +108,7 @@ class WeylGroup:
         self._length: dict = {self._id_mat: 0}
         self._word: dict = {self._id_mat: ()}
         self._bruhat: dict = {}
+        self._full = None
 
     def _wrap(self, mat) -> WeylElement:
         el = self._elements.get(mat)
@@ -120,6 +121,13 @@ class WeylGroup:
         if not 0 <= i < self.n:
             raise IndexError(f"node index {i} out of range 0..{self.n - 1}")
         return self._simple[i]
+
+    def full_context(self) -> "ParabolicContext":
+        """The parabolic context on all nodes, built once per group, so its
+        finiteness verdict and element list are computed once."""
+        if self._full is None:
+            self._full = ParabolicContext(self, range(self.n))
+        return self._full
 
     def from_word(self, word: Iterable[int]) -> WeylElement:
         el = self.identity
@@ -337,6 +345,7 @@ class ParabolicContext:
         self.group = group
         self.J = J
         self._elements = None
+        self._finite = None
         self._longest = None
         self._ball_cache: dict = {}
         self._jleq_cache: dict = {}
@@ -359,8 +368,10 @@ class ParabolicContext:
             letters.append(j)
             cur = cur * g.simple(j)
         w_j = g.from_word(reversed(letters))
-        assert cur * w_j == w
-        assert g.length(cur) + g.length(w_j) == g.length(w)
+        if cur * w_j != w:
+            raise ValueError("parabolic decomposition does not recompose w")
+        if g.length(cur) + g.length(w_j) != g.length(w):
+            raise NonReducedWord("parabolic decomposition is not length-additive")
         self._decomp_cache[w.mat] = (cur, w_j)
         return cur, w_j
 
@@ -390,11 +401,14 @@ class ParabolicContext:
         return self._elements
 
     def is_finite(self) -> bool:
-        try:
-            self.elements()
-            return True
-        except BudgetExceeded:
-            return False
+        """Whether W_J is finite; decided once, a negative verdict included."""
+        if self._finite is None:
+            try:
+                self.elements()
+                self._finite = True
+            except BudgetExceeded:
+                self._finite = False
+        return self._finite
 
     def longest(self) -> WeylElement:
         """The longest element w_{J,0} of a finite W_J."""

@@ -1,6 +1,6 @@
 import pytest
 
-from twistflag import (Inconclusive, ParabolicContext, SimplicialComplex,
+from twistflag import (ChainComplexZ, Inconclusive, ParabolicContext, SimplicialComplex,
                        boundary_matrices, cartan_A, euler_characteristic,
                        is_sphere_signature, j_interval, order_complex,
                        reduced_homology, smith_normal_form, sphere_dimension)
@@ -24,8 +24,15 @@ def test_boundary_matrices():
 
 def test_boundary_squares_to_zero():
     filled = SimplicialComplex(4, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
-    cx = boundary_matrices(filled)  # asserts d(d(x)) = 0 internally
+    cx = boundary_matrices(filled)  # checks d(d(x)) = 0 internally
     assert set(cx.boundaries) == {1, 2}
+    # flipping one sign of d_2 breaks d_1 d_2 = 0 and must be caught
+    bad = {k: [list(row) for row in m] for k, m in cx.boundaries.items()}
+    bad[2][0][0] = -bad[2][0][0]
+    assert bad[2][0][0] != 0
+    with pytest.raises(AssertionError, match="boundary of boundary"):
+        ChainComplexZ(cx.faces, bad)
+    ChainComplexZ(cx.faces, cx.boundaries)
 
 
 def test_smith_normal_form():

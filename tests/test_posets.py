@@ -1,16 +1,21 @@
 import itertools
+import math
+import random
+from fractions import Fraction
 
 import pytest
 
-from twistflag import (FinitePoset, MissingReflection, NonReducedWord,
+from twistflag import (CartanMatrix, FinitePoset, MissingReflection, NonReducedWord,
                        ParabolicContext, SimplicialComplex,
                        assemble_QJ_interval, cartan_A, cartan_B2,
-                       cartan_affine_A1, check_pure, check_thin,
+                       cartan_G2, cartan_affine_A1, check_pure, check_thin,
                        el_label_qj_interval, el_label_twisted_interval,
-                       j_interval, order_complex, reflection_order_covering,
+                       extend_cartan, j_interval, order_complex, reflection_order_covering,
                        reflection_order_from_word, shelling_order, verify_el)
 from twistflag.posets import (LEFT, RIGHT, EdgeLabel, LabeledPoset,
-                              ReflectionOrder, ZERO_HAT, root_of_reflection)
+                              ReflectionOrder, ZERO_HAT, _dihedral_conjugate,
+                              _dihedral_roots, _in_open_cone, root_of_reflection)
+from twistflag.ratmat import row_reduce
 from twistflag.weyl import weyl_group
 
 
@@ -99,6 +104,18 @@ def test_root_of_reflection(A2):
     assert w0.mat == ((-1, 0), (0, -1))
     with pytest.raises(ValueError):
         root_of_reflection(w0)
+    a3 = weyl_group(cartan_A(3))
+    with pytest.raises(ValueError):
+        root_of_reflection(a3.from_word((0, 1, 2)))  # Coxeter element, not a root
+    # in A3 the reflections are exactly the six transpositions
+    reflections = {w * a3.simple(i) * w.inverse() for w in a3.ball(6) for i in range(3)}
+    assert len(reflections) == 6
+    for w in a3.ball(6):
+        if w in reflections:
+            assert root_of_reflection(w) == _oracle_root(w)
+        else:
+            with pytest.raises(ValueError):
+                root_of_reflection(w)
 
 
 def test_reflection_order_covering_two_chains():
@@ -267,3 +284,136 @@ def test_simplicial_complex_json():
     # facets absorb contained faces
     sc2 = SimplicialComplex(3, [(0, 1), (0, 1, 2)])
     assert sc2.facets == [(0, 1, 2)]
+
+
+# -- elimination and conjugation oracles for the root-coordinate certificate --
+
+def _oracle_root(t):
+    """Root of t from the null space of t + 1, by Fraction elimination."""
+    n = t.group.n
+    rows, pivots = row_reduce(
+        [[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(t.mat)], n)
+    free = [c for c in range(n) if c not in pivots]
+    assert len(free) == 1
+    vec = [Fraction(0)] * n
+    vec[free[0]] = Fraction(1)
+    for row, c in zip(rows, pivots):
+        vec[c] = -row[free[0]]
+    scale = math.lcm(*(x.denominator for x in vec))
+    ints = [int(x * scale) for x in vec]
+    if any(x < 0 for x in ints):
+        ints = [-x for x in ints]
+    return tuple(ints)
+
+
+def _oracle_dihedral_reflections(t1, t2, max_count):
+    """Reflections of <t1,t2> as the conjugation orbit of {t1,t2} under t1*t2."""
+    rot, rotinv = t1 * t2, t2 * t1
+    seen = {t1: None, t2: None}
+    frontier = [t1, t2]
+    while frontier and len(seen) <= max_count:
+        nxt = []
+        for c in frontier:
+            for left, right in ((rot, rotinv), (rotinv, rot)):
+                cc = left * c * right
+                if cc not in seen:
+                    seen[cc] = None
+                    nxt.append(cc)
+        frontier = nxt
+    return list(seen)
+
+
+def _oracle_in_open_cone(beta, b1, b2):
+    """Solve beta = x*b1 + y*b2 over Fraction; True iff x, y > 0."""
+    n = len(beta)
+    for i, j in itertools.combinations(range(n), 2):
+        det = b1[i] * b2[j] - b1[j] * b2[i]
+        if det != 0:
+            break
+    else:
+        return False
+    x = Fraction(beta[i] * b2[j] - beta[j] * b2[i], det)
+    y = Fraction(b1[i] * beta[j] - b1[j] * beta[i], det)
+    return x > 0 and y > 0 and all(x * b1[k] + y * b2[k] == beta[k] for k in range(n))
+
+
+def _oracle_violation(refs, initial_segment):
+    pos = {t: k for k, t in enumerate(refs)}
+    roots = [_oracle_root(t) for t in refs]
+    bound = 2 * len(refs) + 4
+    for i, j in itertools.combinations(range(len(refs)), 2):
+        t1, t2 = refs[i], refs[j]
+        for c in _oracle_dihedral_reflections(t1, t2, bound):
+            if c == t1 or c == t2:
+                continue
+            inside = _oracle_in_open_cone(_oracle_root(c), roots[i], roots[j])
+            if c in pos:
+                if (i < pos[c] < j) != inside:
+                    return (t1, t2, c)
+            elif inside and initial_segment:
+                return (t1, t2, c)
+    return None
+
+
+_ORACLE_GROUPS = {
+    "A2": (cartan_A(2), 3),
+    "A3": (cartan_A(3), 6),
+    "B2": (cartan_B2(), 4),
+    "G2": (cartan_G2(), 6),
+    "affine A1": (cartan_affine_A1(), 4),
+    "[[2,-3],[-3,2]]": (CartanMatrix([[2, -3], [-3, 2]]), 4),
+    "hyperbolic rank 3": (CartanMatrix([[2, -2, 0], [-2, 2, -1], [0, -1, 2]]), 3),
+    "thickened A1": (extend_cartan(cartan_A(1)).extended, 4),
+    "thickened A2": (extend_cartan(cartan_A(2)).extended, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_GROUPS))
+def test_root_certificate_matches_oracles(name):
+    """Integer roots, dihedral walks, cone verdicts and violation triples
+    agree with the elimination and conjugation oracles."""
+    cartan, radius = _ORACLE_GROUPS[name]
+    g = weyl_group(cartan)
+    rng = random.Random(name)
+    ball = g.ball(radius)
+    reflections = sorted({w * g.simple(i) * w.inverse() for w in ball for i in range(g.n)},
+                         key=lambda t: (t.length(), t.canonical_word()))
+    for t in reflections:
+        assert root_of_reflection(t) == _oracle_root(t)
+    for w in ball:
+        if w.length() % 2 == 0:  # even length: never a reflection
+            with pytest.raises(ValueError):
+                root_of_reflection(w)
+
+    lists = []
+    for _ in range(12):
+        refs = rng.sample(reflections, min(len(reflections), rng.randint(2, 6)))
+        lists.append((refs, rng.random() < 0.5))
+    for w in rng.sample(ball, min(len(ball), 6)):
+        word = w.canonical_word()
+        if len(word) < 2:
+            continue
+        seq = reflection_order_from_word(g, word).reflections
+        lists.append((seq, True))
+        lists.append((seq[:1] + seq[2:], True))  # a gap in an inversion sequence
+        lists.append((seq[::-1], False))
+
+    outcomes = set()
+    for refs, initial in lists:
+        order = ReflectionOrder(g, refs, initial_segment=initial, check=False)
+        bound = 2 * len(refs) + 4
+        for t1, t2 in itertools.combinations(refs, 2):
+            b1, b2 = root_of_reflection(t1), root_of_reflection(t2)
+            walk = _dihedral_roots(t1, t2, b1, b2, bound)
+            oracle = _oracle_dihedral_reflections(t1, t2, bound)
+            assert list(walk) == [_oracle_root(c) for c in oracle]
+            for (beta, (seed, k)), c in zip(walk.items(), oracle):
+                assert _dihedral_conjugate(t1, t2, seed, k) == c
+                assert _in_open_cone(beta, b1, b2) == _oracle_in_open_cone(beta, b1, b2)
+            for _ in range(4):
+                vec = tuple(rng.randint(-3, 3) for _ in range(g.n))
+                assert _in_open_cone(vec, b1, b2) == _oracle_in_open_cone(vec, b1, b2)
+        got = order.dihedral_violation()
+        assert got == _oracle_violation(refs, initial)
+        outcomes.add(got is None)
+    assert outcomes == {True, False}  # both passing and failing lists were compared

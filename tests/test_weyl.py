@@ -213,6 +213,21 @@ def test_parabolic_longest():
     assert not Jaff.is_finite()
 
 
+def test_finiteness_decided_once(monkeypatch):
+    """The whole-group context is built once and its verdict, negative
+    included, is not recomputed."""
+    aff = weyl_group(cartan_affine_A1(), budget=200)
+    full = aff.full_context()
+    assert full is aff.full_context() and full.J == {0, 1}
+    assert not full.is_finite()
+    calls = []
+    monkeypatch.setattr(aff, "ball", lambda *a, **k: calls.append(a))
+    assert not full.is_finite() and not aff.full_context().is_finite()
+    assert calls == []
+    a3 = weyl_group(cartan_A(3))
+    assert a3.full_context().is_finite() and len(a3.full_context().elements()) == 24
+
+
 def test_element_serialization(A2):
     from twistflag.weyl import element_from_json, element_to_json
     w = A2.simple(0) * A2.simple(1)
