@@ -19,6 +19,16 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 
+def _integer(x) -> int:
+    """x as an int, or ValueError when it is not an integer (1.7, "2", None)."""
+    try:
+        if int(x) == x:
+            return int(x)
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"Cartan matrix entry {x!r} is not an integer")
+
+
 class CartanMatrix:
     """An integer generalized Cartan matrix, validated on construction.
 
@@ -32,7 +42,7 @@ class CartanMatrix:
 
     def __init__(self, entries: Sequence[Sequence[int]],
                  labels: Optional[Sequence[str]] = None):
-        rows = tuple(tuple(int(x) for x in row) for row in entries)
+        rows = tuple(tuple(_integer(x) for x in row) for row in entries)
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):
             raise ValueError("Cartan matrix must be square and nonempty")
@@ -53,6 +63,8 @@ class CartanMatrix:
             labels = tuple(str(x) for x in labels)
             if len(labels) != n:
                 raise ValueError("labels length must match matrix size")
+            if len(set(labels)) != n:
+                raise ValueError("labels must be distinct")
         self.labels = labels
         self.symmetrizer = self._solve_symmetrizer()
 
@@ -82,7 +94,7 @@ class CartanMatrix:
                     raise ValueError("matrix is not symmetrizable")
         # Clear denominators so the certificate is integral.
         lcm = math.lcm(*(x.denominator for x in d))
-        out = tuple(x * lcm for x in d)
+        out = tuple(int(x * lcm) for x in d)
         if any(x <= 0 for x in out):
             raise ValueError("symmetrizer is not positive")
         return out

@@ -16,7 +16,7 @@ from random import Random
 from typing import Optional, Sequence
 
 from .cartan import cartan_A
-from .errors import NotLeq, PatternViolation
+from .errors import NonReducedWord, NotLeq, PatternViolation
 from .ratmat import RatMatrix, unipotent_lu, unipotent_ul
 from .twisted import j_leq, j_length, minimal_c, mr_positive_subexpression
 from .weyl import ParabolicContext, WeylElement, weyl_group
@@ -107,7 +107,8 @@ class PinnedGroup:
         p = []
         for j in range(self.n):
             col = [r for r in range(self.n) if m.rows[r][j] != 0]
-            assert len(col) == 1
+            if len(col) != 1:
+                raise ValueError("lift(w) is not a monomial matrix")
             p.append(col[0])
         return tuple(p)
 
@@ -126,7 +127,8 @@ class PinnedGroup:
             word.append(i)
             q = [i + 1 if v == i else (i if v == i + 1 else v) for v in q]
         w = self.weyl.from_word(word)
-        assert self.perm_of_weyl(w) == p
+        if self.perm_of_weyl(w) != p:
+            raise ValueError(f"{p} is not a permutation of 0..{self.n - 1}")
         self._perm_cache[p] = w
         return w
 
@@ -343,7 +345,8 @@ def sample_twisted_cell(pin: PinnedGroup, v: WeylElement, w: WeylElement,
     target1 = v_rep * c
     skips1 = len(word1) - g.length(target1)
     word2 = g.canonical_word(c.inverse()) + g.canonical_word(v_part)
-    assert g.length(g.from_word(word2)) == len(word2)
+    if g.length(g.from_word(word2)) != len(word2):
+        raise NonReducedWord("c^-1 * v_J is not length-additive")
     s1 = sample_mr(pin, "negative", target1, word1, params[:skips1], check=False)
     s2 = sample_mr(pin, "positive", w_part, word2, params[skips1:], check=False)
     matrix = s1.matrix * s2.matrix

@@ -25,10 +25,20 @@ EXIT_INCONCLUSIVE = 3
 EXIT_USAGE = 4
 
 
+class _BadConfig(Exception):
+    """The --config file is missing, unreadable or not a valid Cartan matrix."""
+
+
 def _load_cartan(args) -> CartanMatrix:
     if args.config:
-        with open(args.config) as fh:
-            return CartanMatrix.from_config(json.load(fh))
+        try:
+            with open(args.config) as fh:
+                return CartanMatrix.from_config(json.load(fh))
+        except KeyError as ex:
+            raise _BadConfig(f"config {args.config}: missing key {ex}") from None
+        # json.JSONDecodeError is a ValueError; TypeError is a config of the wrong shape
+        except (OSError, TypeError, ValueError) as ex:
+            raise _BadConfig(f"config {args.config}: {ex}") from None
     return CartanMatrix.from_config({"cartan": [[2, -1], [-1, 2]],
                                      "labels": ["1", "2"]})
 
@@ -245,6 +255,9 @@ def main(argv=None) -> int:
             return cmd_verify(args)
         if args.command == "sample":
             return cmd_sample(args)
+    except _BadConfig as ex:
+        print(f"usage error: {ex}", file=sys.stderr)
+        return EXIT_USAGE
     except TwistflagError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_FAIL

@@ -36,16 +36,6 @@ def row_reduce(rows: Sequence[Sequence], ncols: int):
     return m, pivots
 
 
-def inverse_rows(rows: Sequence[Sequence]) -> list:
-    """Rows of the inverse of a square matrix, as Fractions, by reducing [M | I]."""
-    n = len(rows)
-    reduced, pivots = row_reduce(
-        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)], n)
-    if len(pivots) < n:
-        raise ZeroDivisionError("matrix is singular")
-    return [row[n:] for row in reduced]
-
-
 class RatMatrix:
     __slots__ = ("rows", "n")
 
@@ -99,7 +89,14 @@ class RatMatrix:
         return out * sign
 
     def inverse(self) -> "RatMatrix":
-        return RatMatrix(inverse_rows(self.rows))
+        """Exact inverse, by reducing [M | I]."""
+        n = self.n
+        augmented = [list(row) + [int(i == j) for j in range(n)]
+                     for i, row in enumerate(self.rows)]
+        reduced, pivots = row_reduce(augmented, n)
+        if len(pivots) < n:
+            raise ZeroDivisionError("matrix is singular")
+        return RatMatrix([row[n:] for row in reduced])
 
     def is_identity(self) -> bool:
         return all(self.rows[i][j] == (1 if i == j else 0)

@@ -16,7 +16,6 @@ from typing import Iterable, Optional, Sequence
 
 from .cartan import CartanMatrix
 from .errors import BudgetExceeded, NonReducedWord
-from .ratmat import inverse_rows
 
 Word = tuple  # sequence of node indices
 
@@ -34,14 +33,32 @@ def _identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
+def _positive_definite(m) -> bool:
+    """Sylvester's criterion on a symmetric integer matrix: every leading
+    principal minor is positive.  Fraction-free (Bareiss) elimination, so
+    after step k the entry m[k+1][k+1] is the leading minor of size k+2."""
+    m = [list(row) for row in m]
+    prev = 1
+    for k in range(len(m)):
+        piv = m[k][k]
+        if piv <= 0:
+            return False
+        for i in range(k + 1, len(m)):
+            for j in range(k + 1, len(m)):
+                m[i][j] = (m[i][j] * piv - m[i][k] * m[k][j]) // prev
+        prev = piv
+    return True
+
+
 class WeylElement:
     """A Weyl group element as an integer matrix on the simple-root basis."""
 
-    __slots__ = ("group", "mat")
+    __slots__ = ("group", "mat", "_inv")
 
     def __init__(self, group: "WeylGroup", mat):
         self.group = group
         self.mat = mat
+        self._inv = None
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         if other.group is not self.group:
@@ -56,13 +73,11 @@ class WeylElement:
         return hash(self.mat)
 
     def inverse(self) -> "WeylElement":
-        try:
-            rows = inverse_rows(self.mat)
-        except ZeroDivisionError:
-            raise ValueError("matrix is singular; not a Weyl element") from None
-        if any(x.denominator != 1 for row in rows for x in row):
-            raise ValueError("inverse is not integral; not a Weyl element")
-        return self.group._wrap(tuple(tuple(int(x) for x in row) for row in rows))
+        """s_{a_1}...s_{a_k} for the stripped letters of w; linked both ways."""
+        if self._inv is None:
+            inv = self.group.from_word(self.group._strip(self))
+            self._inv, inv._inv = inv, self
+        return self._inv
 
     def act(self, vec: Sequence[int]) -> tuple:
         """Image of a root-lattice vector (coordinates in the simple roots)."""
@@ -84,11 +99,7 @@ class WeylElement:
 
 
 class WeylGroup:
-    """Element factory plus the memo tables for one Cartan matrix.
-
-    All operations are pure; the internal caches are only ever appended
-    to, so concurrent readers never observe an inconsistent state.
-    """
+    """Element factory plus the memo tables for one Cartan matrix."""
 
     def __init__(self, cartan: CartanMatrix, budget: int = DEFAULT_BUDGET):
         self.cartan = cartan
@@ -105,8 +116,7 @@ class WeylGroup:
                 m[i][j] -= a[j][i]
             self._simple.append(self._wrap(tuple(tuple(r) for r in m)))
         self.identity = self._wrap(self._id_mat)
-        self._length: dict = {self._id_mat: 0}
-        self._word: dict = {self._id_mat: ()}
+        self._stripped: dict = {self._id_mat: ()}
         self._bruhat: dict = {}
         self._full = None
 
@@ -154,49 +164,36 @@ class WeylGroup:
             return self.left_descents(w)
         raise ValueError("side must be 'left' or 'right'")
 
-    def length(self, w: WeylElement) -> int:
-        known = self._length.get(w.mat)
+    def _strip(self, w: WeylElement) -> Word:
+        """Letters a_1..a_k, each the smallest right descent of what is left,
+        with w s_{a_1}...s_{a_k} = e; memoized on every element walked."""
+        known = self._stripped.get(w.mat)
         if known is not None:
             return known
-        # Greedy right-descent stripping; the step count is the length.
         path = []
+        letters = []
         cur = w
-        steps = 0
-        while cur.mat not in self._length:
+        while cur.mat not in self._stripped:
             ds = self.right_descents(cur)
             if not ds:
-                if not cur.is_identity():
-                    raise ValueError("descent-free non-identity matrix; corrupted element")
-                break
+                raise ValueError("descent-free non-identity matrix; corrupted element")
+            if len(path) >= self.budget:
+                raise BudgetExceeded("descent walk exceeded step budget")
             path.append(cur.mat)
-            cur = cur * self.simple(min(ds))
-            steps += 1
-            if steps > self.budget:
-                raise BudgetExceeded("length reduction exceeded step budget")
-        base = self._length[cur.mat]
-        for k, m in enumerate(reversed(path)):
-            self._length[m] = base + k + 1
-        return self._length[w.mat]
+            letters.append(min(ds))
+            cur = cur * self.simple(letters[-1])
+        tail = self._stripped[cur.mat]
+        for mat, i in zip(reversed(path), reversed(letters)):
+            tail = (i,) + tail
+            self._stripped[mat] = tail
+        return tail
+
+    def length(self, w: WeylElement) -> int:
+        return len(self._strip(w))
 
     def canonical_word(self, w: WeylElement) -> Word:
         """Lexicographically smallest reduced word (smallest left descent first)."""
-        cached = self._word.get(w.mat)
-        if cached is not None:
-            return cached
-        letters = []
-        winv = w.inverse()
-        steps = 0
-        while not winv.is_identity():
-            ds = self.right_descents(winv)  # right descents of w^-1 = left descents of w
-            i = min(ds)
-            letters.append(i)
-            winv = winv * self.simple(i)
-            steps += 1
-            if steps > self.budget:
-                raise BudgetExceeded("word extraction exceeded step budget")
-        word = tuple(letters)
-        self._word[w.mat] = word
-        return word
+        return self._strip(w.inverse())
 
     # -- Bruhat order ---------------------------------------------------
 
@@ -401,23 +398,23 @@ class ParabolicContext:
         return self._elements
 
     def is_finite(self) -> bool:
-        """Whether W_J is finite; decided once, a negative verdict included."""
+        """Whether W_J is finite: exactly when the symmetrized Cartan form
+        (d_i a_ij) on J is positive definite.  Decided once."""
         if self._finite is None:
-            try:
-                self.elements()
-                self._finite = True
-            except BudgetExceeded:
-                self._finite = False
+            d, a = self.group.cartan.symmetrizer, self.group.cartan.entries
+            J = sorted(self.J)
+            self._finite = _positive_definite([[d[i] * a[i][j] for j in J] for i in J])
         return self._finite
 
     def longest(self) -> WeylElement:
-        """The longest element w_{J,0} of a finite W_J."""
+        """The longest element w_{J,0} of a finite W_J, by greedy ascent."""
         if self._longest is None:
-            els = self.elements()
-            top = max(els, key=self.group.length)
-            m = self.group.length(top)
-            if sum(1 for e in els if self.group.length(e) == m) != 1:
-                raise ValueError("W_J has no unique longest element")
+            if not self.is_finite():
+                raise BudgetExceeded("W_J is infinite and has no longest element")
+            g = self.group
+            top = g.identity
+            while up := self.J - g.right_descents(top):
+                top = top * g.simple(min(up))
             self._longest = top
         return self._longest
 

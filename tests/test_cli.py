@@ -78,6 +78,15 @@ def test_config_file_and_out(capsys, tmp_path):
     assert data["comparable"] is True
 
 
+def test_bad_config_is_usage_error(capsys, tmp_path):
+    cfg = tmp_path / "broken.json"
+    cfg.write_text(json.dumps({"cartan": [[2, -1], [0, 2]], "labels": ["a", "b"]}))
+    for path in (cfg, tmp_path / "missing.json"):
+        for verb in (["order", "a", "b"], ["interval", "", "a"], ["sample", "a", ""]):
+            code, out, err = run(capsys, "--config", str(path), *verb)
+            assert code == 4 and out == "" and err.startswith("usage error: config")
+
+
 def test_verify_suite_deterministic(capsys):
     code1, out1, _ = run(capsys, "verify", "--suite", "flags", "--seed", "7")
     code2, out2, _ = run(capsys, "verify", "--suite", "flags", "--seed", "7")

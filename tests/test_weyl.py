@@ -1,13 +1,15 @@
 import itertools
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from twistflag import (BudgetExceeded, CartanMatrix, ParabolicContext,
-                       WeylElement, bruhat_leq, canonical_reduced_word,
-                       cartan_A, cartan_B2, cartan_G2, cartan_affine_A1,
-                       descents, enumerate_ball, inversion_set,
-                       simple_reflection)
-from twistflag.weyl import weyl_group
+                       RatMatrix, WeylElement, bruhat_leq,
+                       canonical_reduced_word, cartan_A, cartan_B2, cartan_G2,
+                       cartan_affine_A1, descents, enumerate_ball,
+                       extend_cartan, inversion_set, simple_reflection)
+from twistflag.weyl import WeylGroup, weyl_group
 
 
 @pytest.fixture
@@ -22,6 +24,10 @@ def test_cartan_validation():
         CartanMatrix([[1, 0], [0, 2]])  # bad diagonal
     with pytest.raises(ValueError):
         CartanMatrix([[2, 1], [1, 2]])  # positive off-diagonal
+    with pytest.raises(ValueError):
+        CartanMatrix([[2, -1.7], [-1.2, 2]])  # not integers; int() would read A2
+    with pytest.raises(ValueError):
+        CartanMatrix([[2, -1], [-1, 2]], labels=["a", "a"])  # repeated label
     cm = cartan_B2()
     d = cm.symmetrizer
     for i in range(2):
@@ -226,6 +232,114 @@ def test_finiteness_decided_once(monkeypatch):
     assert calls == []
     a3 = weyl_group(cartan_A(3))
     assert a3.full_context().is_finite() and len(a3.full_context().elements()) == 24
+
+
+# -- the enumerating paths the Weyl layer replaced, kept as oracles ---------
+
+def _bfs_finite(ctx: ParabolicContext, cap: int) -> bool:
+    """W_J is finite iff its breadth-first enumeration ends within cap elements."""
+    try:
+        ctx.group.ball(cap, ctx.J, budget=cap)
+    except BudgetExceeded:
+        return False
+    return True
+
+
+def _longest_by_scan(ctx: ParabolicContext) -> WeylElement:
+    """The unique element of maximal length in the enumerated W_J."""
+    els = ctx.elements()
+    top = max(els, key=ctx.group.length)
+    assert sum(1 for e in els if e.length() == top.length()) == 1
+    return top
+
+
+_B3 = CartanMatrix([[2, -1, 0], [-1, 2, -2], [0, -1, 2]])
+_F4 = CartanMatrix([[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]])
+_ORACLE_MATRICES = {
+    "A3": (cartan_A(3), 24),
+    "A4": (cartan_A(4), 120),
+    "B2": (cartan_B2(), 8),
+    "G2": (cartan_G2(), 12),
+    "B3": (_B3, 48),
+    "F4": (_F4, 1152),
+    "affine A1": (cartan_affine_A1(), None),
+    "affine A2": (CartanMatrix([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]), None),
+    "[[2,-3],[-3,2]]": (CartanMatrix([[2, -3], [-3, 2]]), None),
+    "hyperbolic rank 3": (CartanMatrix([[2, -2, 0], [-2, 2, -1], [0, -1, 2]]), None),
+    "thickened A1": (extend_cartan(cartan_A(1)).extended, None),
+    "thickened A2": (extend_cartan(cartan_A(2)).extended, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_MATRICES))
+def test_weyl_layer_matches_oracles(name):
+    """The Cartan-form verdict, the greedy-ascent longest element and the
+    descent-walk inverse agree with the BFS, the max-length scan and the
+    Fraction inverse on every J."""
+    cartan, order = _ORACLE_MATRICES[name]
+    g = weyl_group(cartan)
+    for r in range(g.n + 1):
+        for J in itertools.combinations(range(g.n), r):
+            ctx = ParabolicContext(g, J)
+            finite = ctx.is_finite()
+            assert finite == _bfs_finite(ctx, 2_000), J
+            if finite:
+                assert ctx.longest() == _longest_by_scan(ctx), J
+            else:
+                with pytest.raises(BudgetExceeded):
+                    ctx.longest()
+    assert g.full_context().is_finite() == (order is not None)
+    if order is not None:
+        assert len(g.full_context().elements()) == order
+    for w in g.ball(4):
+        assert RatMatrix(w.inverse().mat) == RatMatrix(w.mat).inverse()  # Fraction oracle
+        assert w.inverse().inverse() is w
+        assert g.length(w) == len(canonical_reduced_word(w)) == len(inversion_set(w))
+
+
+@st.composite
+def _gcm(draw):
+    """A random generalized Cartan matrix of rank <= 3 that is symmetrizable."""
+    n = draw(st.integers(1, 3))
+    a = [[2] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        if draw(st.booleans()):
+            a[i][j], a[j][i] = draw(st.integers(-3, -1)), draw(st.integers(-3, -1))
+        else:
+            a[i][j] = a[j][i] = 0
+    try:
+        return CartanMatrix(a)
+    except ValueError:  # a 3-cycle with a12*a23*a31 != a21*a32*a13 has no symmetrizer
+        assume(False)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_gcm())
+def test_weyl_layer_properties(cartan):
+    g = WeylGroup(cartan)
+    for r in range(g.n + 1):
+        for J in itertools.combinations(range(g.n), r):
+            ctx = ParabolicContext(g, J)
+            assert ctx.is_finite() == _bfs_finite(ctx, 5_000), J
+    for w in g.ball(3):
+        assert w.inverse().inverse() is w
+        assert w.length() == len(inversion_set(w))
+
+
+def test_finiteness_from_cartan_form(monkeypatch):
+    """The verdict does not depend on the group budget, and neither it nor
+    the longest element enumerates W_J."""
+    assert weyl_group(cartan_A(3), budget=5).full_context().is_finite()
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("W_J was enumerated")
+
+    monkeypatch.setattr(WeylGroup, "ball", no_enumeration)
+    a7 = ParabolicContext(weyl_group(cartan_A(7)), range(7))
+    assert a7.is_finite() and a7.longest().length() == 28
+    assert not ParabolicContext(weyl_group(cartan_affine_A1()), {0, 1}).is_finite()
+    assert ParabolicContext(weyl_group(cartan_affine_A1()), {1}).is_finite()
 
 
 def test_element_serialization(A2):
