@@ -16,7 +16,8 @@ from .doubleflag import (ThickenedCartan, TripleIndex, extend_cartan,
                          link_boundary_poset, link_face_poset, q_el_label,
                          q_interval_hat, q_leq, q_member, th_map,
                          triples_below, z_sample)
-from .errors import (AmbiguousMinimum, BudgetExceeded, DecompositionFails,
+from .errors import (AmbiguousMinimum, BoundaryError, BudgetExceeded,
+                     DecompositionFails,
                      Inconclusive, IncomparablePair, MissingReflection,
                      NonReducedWord, NotComparable, NotLeq, NotMember,
                      PatternViolation, TwistflagError)

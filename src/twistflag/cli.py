@@ -86,8 +86,8 @@ def _flatten_text(payload, prefix=""):
 def cmd_order(args) -> int:
     cartan = _load_cartan(args)
     group = weyl_group(cartan, args.budget_elems)
-    J = ParabolicContext(group, _parse_J(cartan, args.J))
     try:
+        J = ParabolicContext(group, _parse_J(cartan, args.J))
         v = group.from_word(_parse_word(cartan, args.v))
         w = group.from_word(_parse_word(cartan, args.w))
     except ValueError as ex:
@@ -110,8 +110,8 @@ def cmd_order(args) -> int:
 def cmd_interval(args) -> int:
     cartan = _load_cartan(args)
     group = weyl_group(cartan, args.budget_elems)
-    J = ParabolicContext(group, _parse_J(cartan, args.J))
     try:
+        J = ParabolicContext(group, _parse_J(cartan, args.J))
         x = group.from_word(_parse_word(cartan, args.x))
         y = group.from_word(_parse_word(cartan, args.y))
     except ValueError as ex:
@@ -160,8 +160,8 @@ def cmd_sample(args) -> int:
         print(f"usage error: {ex}", file=sys.stderr)
         return EXIT_USAGE
     group = pin.weyl
-    J = ParabolicContext(group, _parse_J(cartan, args.J))
     try:
+        J = ParabolicContext(group, _parse_J(cartan, args.J))
         v = group.from_word(_parse_word(cartan, args.v))
         w = group.from_word(_parse_word(cartan, args.w))
     except ValueError as ex:
@@ -186,6 +186,10 @@ def cmd_verify(args) -> int:
     if args.suite not in ("flags", "twisted", "doubleflag", "all"):
         print("usage error: suite must be flags|twisted|doubleflag|all",
               file=sys.stderr)
+        return EXIT_USAGE
+    if args.config is not None:
+        print("usage error: verify runs its suites on their built-in groups; "
+              "--config is not used", file=sys.stderr)
         return EXIT_USAGE
     started = time.monotonic()
     checks = run_suite(args.suite, args.seed)

@@ -45,5 +45,9 @@ class NotMember(TwistflagError):
     """A triple fails the double-flag membership condition."""
 
 
+class BoundaryError(TwistflagError):
+    """Consecutive boundary matrices do not compose to zero."""
+
+
 class Inconclusive(TwistflagError):
     """The check could not be completed within its budget; not a failure."""

@@ -7,9 +7,10 @@ integers throughout; no modular shortcuts.
 
 from __future__ import annotations
 
+import heapq
 from typing import Optional
 
-from .errors import Inconclusive
+from .errors import BoundaryError, Inconclusive
 from .posets import SimplicialComplex
 
 FACE_BUDGET = 50_000
@@ -20,7 +21,8 @@ class ChainComplexZ:
 
     ``faces[k]`` is the ordered basis of k-faces (sorted vertex tuples);
     ``boundary(k)`` maps k-chains to (k-1)-chains.  The composite of two
-    consecutive boundaries is checked to vanish on construction.
+    consecutive boundaries is checked to vanish on construction; a nonzero
+    composite raises ``BoundaryError``.
     """
 
     def __init__(self, faces: dict, boundaries: dict):
@@ -37,7 +39,7 @@ class ChainComplexZ:
                         for i, y in lower[r]:
                             acc[i] = acc.get(i, 0) + y * x
                     if any(acc.values()):
-                        raise AssertionError("boundary of boundary is nonzero")
+                        raise BoundaryError("boundary of boundary is nonzero")
 
     def boundary(self, k: int):
         return self.boundaries.get(k, [])
@@ -71,6 +73,80 @@ def boundary_matrices(c: SimplicialComplex) -> ChainComplexZ:
 
 def smith_normal_form(matrix) -> tuple:
     """Invariant factors d1 | d2 | ... and the rank, via exact row/col ops.
+
+    Sparse phase first (Dumas-Saunders-Villard): over row and column
+    dicts of the nonzero entries, repeatedly take the ±1 entry of least
+    Markowitz cost ``(row count - 1) * (column count - 1)``, ties broken
+    by smallest (row, column), clear its column by row operations and
+    delete its row and column.  Each step is unimodular and splits off
+    one invariant factor 1, so the Smith form of the matrix is 1s
+    followed by the Smith form of what is left.  When no unit entry is
+    left, that block (empty for most order-complex boundaries) goes to
+    ``_dense_snf``.  Invariant factors are unique, so the result does not
+    depend on the pivot order.
+    """
+    rows = {}
+    cols = {}
+    for i, row in enumerate(matrix):
+        entries = {j: x for j, x in enumerate(row) if x}
+        if entries:
+            rows[i] = entries
+            for j in entries:
+                cols.setdefault(j, set()).add(i)
+    heap = [((len(r) - 1) * (len(cols[j]) - 1), i, j)
+            for i, r in rows.items() for j, x in r.items() if x in (1, -1)]
+    heapq.heapify(heap)
+    units = 0
+    while heap:
+        cost, p, c = heapq.heappop(heap)
+        prow = rows.get(p)
+        if (prow is None or prow.get(c) not in (1, -1)
+                or cost != (len(prow) - 1) * (len(cols[c]) - 1)):
+            continue  # stale: the entry changed or a fresh cost was pushed
+        pv = prow[c]
+        del rows[p]
+        for j in prow:
+            cols[j].discard(p)
+        touched = set()
+        for i in cols.pop(c):
+            row = rows[i]
+            f = row[c] * pv
+            for j, x in prow.items():
+                y = row.get(j, 0) - f * x
+                if y:
+                    if j not in row:
+                        cols[j].add(i)
+                    row[j] = y
+                else:
+                    del row[j]
+                    if j != c:
+                        cols[j].discard(i)
+            if row:
+                touched.add(i)
+            else:
+                del rows[i]
+        units += 1
+        # every unit entry whose row or column count changed gets its new cost
+        for i in touched:
+            row = rows[i]
+            ri = len(row) - 1
+            for j, x in row.items():
+                if x in (1, -1):
+                    heapq.heappush(heap, (ri * (len(cols[j]) - 1), i, j))
+        for j in prow:
+            if j != c:
+                cj = len(cols[j]) - 1
+                for i in cols[j] - touched:
+                    if rows[i][j] in (1, -1):
+                        heapq.heappush(heap, ((len(rows[i]) - 1) * cj, i, j))
+    rest = sorted(j for j, s in cols.items() if s)
+    diag, rank = _dense_snf([[rows[i].get(j, 0) for j in rest] for i in sorted(rows)])
+    return [1] * units + diag, units + rank
+
+
+def _dense_snf(matrix) -> tuple:
+    """Dense Smith normal form: the finisher of ``smith_normal_form`` and,
+    on whole matrices, its test oracle.
 
     Pivoting is deterministic: smallest magnitude first, row-major
     tie-break.

@@ -159,3 +159,19 @@ def test_sample_verb(capsys, tmp_path):
     cfg.write_text(json.dumps({"cartan": [[2, -2], [-1, 2]], "labels": ["a", "b"]}))
     code, out, err = run(capsys, "--config", str(cfg), "sample", "a", "b a")
     assert code == 4 and out == "" and "type A" in err
+
+
+def test_unknown_J_label_is_usage_error(capsys):
+    for verb in (["order", "1", "2"], ["interval", "", "1"], ["sample", "1", "1 2"]):
+        code, out, err = run(capsys, *verb, "--J", "9")
+        assert code == 4 and out == ""
+        assert err.startswith("usage error: unknown node label '9'")
+
+
+def test_verify_rejects_config(capsys, tmp_path):
+    cfg = tmp_path / "b2.json"
+    cfg.write_text(json.dumps({"cartan": [[2, -2], [-1, 2]], "labels": ["a", "b"]}))
+    for path in (cfg, tmp_path / "missing.json"):
+        code, out, err = run(capsys, "--config", str(path), "verify", "--suite", "flags")
+        assert code == 4 and out == ""
+        assert err.startswith("usage error: verify runs its suites on their built-in groups")

@@ -1,10 +1,16 @@
-import pytest
+import itertools
+import random
 
-from twistflag import (ChainComplexZ, Inconclusive, ParabolicContext, SimplicialComplex,
-                       boundary_matrices, cartan_A, euler_characteristic,
-                       is_sphere_signature, j_interval, order_complex,
-                       reduced_homology, smith_normal_form, sphere_dimension)
-from twistflag.homology import HomologyProfile, homology_to_json
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from twistflag import (BoundaryError, ChainComplexZ, Inconclusive, ParabolicContext,
+                       SimplicialComplex, boundary_matrices, cartan_A,
+                       euler_characteristic, is_sphere_signature, j_interval,
+                       link_boundary_poset, order_complex, reduced_homology,
+                       smith_normal_form, sphere_dimension)
+from twistflag.homology import HomologyProfile, _dense_snf, homology_to_json
 from twistflag.weyl import weyl_group
 
 
@@ -30,7 +36,7 @@ def test_boundary_squares_to_zero():
     bad = {k: [list(row) for row in m] for k, m in cx.boundaries.items()}
     bad[2][0][0] = -bad[2][0][0]
     assert bad[2][0][0] != 0
-    with pytest.raises(AssertionError, match="boundary of boundary"):
+    with pytest.raises(BoundaryError, match="boundary of boundary"):
         ChainComplexZ(cx.faces, bad)
     ChainComplexZ(cx.faces, cx.boundaries)
 
@@ -51,6 +57,72 @@ def test_smith_normal_form():
         diag, rank = smith_normal_form(m)
         for a, b in zip(diag, diag[1:]):
             assert b % a == 0
+
+
+def _link_boundaries(cartan, max_length):
+    """Boundary matrices of every link complex with 1 <= l(w) + l(u) <= max_length."""
+    full = ParabolicContext(weyl_group(cartan), range(cartan.size)).elements()
+    for w, u in itertools.product(full, repeat=2):
+        if 1 <= w.length() + u.length() <= max_length:
+            cx = boundary_matrices(order_complex(link_boundary_poset(w, u), "full"))
+            yield from cx.boundaries.values()
+
+
+def test_snf_matches_dense_on_link_boundaries():
+    mats = [m for n in (1, 2) for m in _link_boundaries(cartan_A(n), 5)]
+    assert len(mats) > 30
+    for m in mats:
+        assert smith_normal_form(m) == _dense_snf(m)
+
+
+def test_snf_matches_dense_on_A3_interval():
+    g = weyl_group(cartan_A(3))
+    x = g.from_word((1,))
+    y = g.from_word((0, 1, 2, 1, 0))
+    fp = j_interval(x, y, ParabolicContext(g, {1})).to_finite_poset()
+    cx = boundary_matrices(order_complex(fp, "open-interval"))
+    assert sum(len(f) for f in cx.faces.values()) == 1130
+    for m in cx.boundaries.values():
+        assert smith_normal_form(m) == _dense_snf(m)
+
+
+@st.composite
+def _int_matrices(draw):
+    """Up to 7x7 over [-6, 6]: empty shapes, zero rows and columns, and
+    matrices with no unit entry, which skip the sparse phase entirely."""
+    rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    values = list(range(-6, 7))
+    if draw(st.booleans()):
+        values = [x for x in values if x not in (1, -1)]
+    entry = st.one_of(st.just(0), st.sampled_from(values))
+    zero_rows, zero_cols = draw(st.sets(st.integers(0, 6))), draw(st.sets(st.integers(0, 6)))
+    return [[0 if i in zero_rows or j in zero_cols else draw(entry) for j in range(cols)]
+            for i in range(rows)]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_int_matrices())
+def test_snf_matches_dense_property(m):
+    diag, rank = smith_normal_form(m)
+    assert (diag, rank) == _dense_snf(m)
+    assert len(diag) == rank and all(d >= 1 for d in diag)
+    assert all(b % a == 0 for a, b in zip(diag, diag[1:]))
+
+
+def test_snf_matches_sympy():
+    normalforms = pytest.importorskip("sympy.matrices.normalforms")
+    from sympy import ZZ, Matrix
+    rng = random.Random(8)
+    mats = []
+    for _ in range(150):
+        r, c = rng.randint(1, 6), rng.randint(1, 6)
+        mats.append([[rng.choice((0, 0, 1, -1, 2, -3, 4, 6)) for _ in range(c)]
+                     for _ in range(r)])
+    mats += list(_link_boundaries(cartan_A(1), 3))
+    for m in mats:
+        expected = [abs(int(d)) for d in normalforms.invariant_factors(Matrix(m), domain=ZZ)
+                    if d != 0]
+        assert smith_normal_form(m) == (expected, len(expected))
 
 
 def test_reduced_homology_spheres():
