@@ -20,7 +20,7 @@ from .errors import (AmbiguousMinimum, BoundaryError, BudgetExceeded,
                      DecompositionFails,
                      Inconclusive, IncomparablePair, MissingReflection,
                      NonReducedWord, NotComparable, NotLeq, NotMember,
-                     PatternViolation, TwistflagError)
+                     PatternViolation, StratumMismatch, TwistflagError)
 from .homology import (ChainComplexZ, HomologyProfile, boundary_matrices,
                        euler_characteristic, is_sphere_signature,
                        reduced_homology, smith_normal_form, sphere_dimension)

@@ -16,10 +16,10 @@ from random import Random
 from typing import Optional, Sequence
 
 from .cartan import cartan_A
-from .errors import NonReducedWord, NotLeq, PatternViolation
+from .errors import NonReducedWord, NotLeq, PatternViolation, StratumMismatch
 from .ratmat import RatMatrix, unipotent_lu, unipotent_ul
 from .twisted import j_leq, j_length, minimal_c, mr_positive_subexpression
-from .weyl import ParabolicContext, WeylElement, weyl_group
+from .weyl import DEFAULT_BUDGET, ParabolicContext, WeylElement, weyl_group
 
 
 class PinnedGroup:
@@ -29,14 +29,14 @@ class PinnedGroup:
     Node i (0-indexed, type A_{n-1}) touches matrix slots i and i+1.
     """
 
-    def __init__(self, n: int, allow_large: bool = False):
+    def __init__(self, n: int, allow_large: bool = False, budget: int = DEFAULT_BUDGET):
         if n < 2:
             raise ValueError("SL_n needs n >= 2")
         if n > 5 and not allow_large:
             raise ValueError("n > 5 needs allow_large=True (exact minors get big)")
         self.n = n
         self.cartan = cartan_A(n - 1)
-        self.weyl = weyl_group(self.cartan)
+        self.weyl = weyl_group(self.cartan, budget)
         self._lift_cache: dict = {}
         self._perm_cache: dict = {}
 
@@ -189,7 +189,7 @@ def richardson_stratum(pin: PinnedGroup, g: RatMatrix) -> tuple:
     v = birkhoff_stratum(pin, g)
     w = bruhat_stratum(pin, g)
     if not pin.weyl.bruhat_leq(v, w):
-        raise AssertionError("nonemptiness pattern violated: v must be <= w")
+        raise StratumMismatch("nonemptiness pattern violated: v must be <= w")
     return v, w
 
 
@@ -204,7 +204,7 @@ def twisted_stratum(pin: PinnedGroup, g: RatMatrix, J: ParabolicContext) -> tupl
     wj0_inv = wj0.inverse()
     v, w = v1 * wj0_inv, w1 * wj0_inv
     if not j_leq(v, w, J):
-        raise AssertionError("twisted stratum pair fails v <=J w")
+        raise StratumMismatch("twisted stratum pair fails v <=J w")
     return v, w
 
 
@@ -302,8 +302,8 @@ def sample_mr(pin: PinnedGroup, kind: str, v: WeylElement, word_w: Sequence[int]
     """Marsh-Rietsch product: lifts at the positive subexpression's letters,
     one-parameter subgroup elements at the skips.
 
-    kind "negative" uses y at skips and its flag is asserted to land in
-    the Richardson stratum (v, eval(word_w)).
+    kind "negative" uses y at skips; with check, a flag outside the
+    Richardson stratum (v, eval(word_w)) raises StratumMismatch.
     """
     if kind not in ("negative", "positive"):
         raise ValueError("kind must be 'negative' or 'positive'")
@@ -323,7 +323,7 @@ def sample_mr(pin: PinnedGroup, kind: str, v: WeylElement, word_w: Sequence[int]
     if check and kind == "negative":
         w = pin.weyl.from_word(word_w)
         if richardson_stratum(pin, out) != (v, w):
-            raise AssertionError("negative Marsh-Rietsch sample missed its stratum")
+            raise StratumMismatch("negative Marsh-Rietsch sample missed its stratum")
     return CellSample(out, (kind, v, word_w), params)
 
 
@@ -351,7 +351,7 @@ def sample_twisted_cell(pin: PinnedGroup, v: WeylElement, w: WeylElement,
     s2 = sample_mr(pin, "positive", w_part, word2, params[skips1:], check=False)
     matrix = s1.matrix * s2.matrix
     if check and twisted_stratum(pin, matrix, J) != (v, w):
-        raise AssertionError("twisted sample missed its stratum")
+        raise StratumMismatch("twisted sample missed its stratum")
     return CellSample(matrix, ("twisted", v, w, tuple(sorted(J.J)), c), params)
 
 

@@ -17,7 +17,7 @@ from .cartan import CartanMatrix, cartan_A
 from .errors import BudgetExceeded, Inconclusive, TwistflagError
 from .posets import poset_to_dot, poset_to_json
 from .twisted import j_interval, j_length, j_leq, minimal_c
-from .weyl import ParabolicContext, weyl_group
+from .weyl import DEFAULT_BUDGET, ParabolicContext, weyl_group
 
 EXIT_PASS = 0
 EXIT_FAIL = 2
@@ -41,6 +41,10 @@ def _load_cartan(args) -> CartanMatrix:
             raise _BadConfig(f"config {args.config}: {ex}") from None
     return CartanMatrix.from_config({"cartan": [[2, -1], [-1, 2]],
                                      "labels": ["1", "2"]})
+
+
+def _budget(args) -> int:
+    return DEFAULT_BUDGET if args.budget_elems is None else args.budget_elems
 
 
 def _parse_word(cartan: CartanMatrix, text: str) -> tuple:
@@ -85,7 +89,7 @@ def _flatten_text(payload, prefix=""):
 
 def cmd_order(args) -> int:
     cartan = _load_cartan(args)
-    group = weyl_group(cartan, args.budget_elems)
+    group = weyl_group(cartan, _budget(args))
     try:
         J = ParabolicContext(group, _parse_J(cartan, args.J))
         v = group.from_word(_parse_word(cartan, args.v))
@@ -109,7 +113,7 @@ def cmd_order(args) -> int:
 
 def cmd_interval(args) -> int:
     cartan = _load_cartan(args)
-    group = weyl_group(cartan, args.budget_elems)
+    group = weyl_group(cartan, _budget(args))
     try:
         J = ParabolicContext(group, _parse_J(cartan, args.J))
         x = group.from_word(_parse_word(cartan, args.x))
@@ -155,7 +159,7 @@ def cmd_sample(args) -> int:
         return EXIT_USAGE
     n = cartan.size + 1
     try:
-        pin = PinnedGroup(n)
+        pin = PinnedGroup(n, budget=_budget(args))
     except ValueError as ex:
         print(f"usage error: {ex}", file=sys.stderr)
         return EXIT_USAGE
@@ -167,13 +171,17 @@ def cmd_sample(args) -> int:
     except ValueError as ex:
         print(f"usage error: {ex}", file=sys.stderr)
         return EXIT_USAGE
-    if not j_leq(v, w, J):
-        print("usage error: v <=J w fails, the cell is empty", file=sys.stderr)
-        return EXIT_USAGE
-    dim = j_length(w, J) - j_length(v, J)
-    sampler = ParamSampler(args.seed).child("cli-sample")
-    samples = [sample_twisted_cell(pin, v, w, J, sampler.integers(dim)).to_json()
-               for _ in range(args.count)]
+    try:
+        if not j_leq(v, w, J):
+            print("usage error: v <=J w fails, the cell is empty", file=sys.stderr)
+            return EXIT_USAGE
+        dim = j_length(w, J) - j_length(v, J)
+        sampler = ParamSampler(args.seed).child("cli-sample")
+        samples = [sample_twisted_cell(pin, v, w, J, sampler.integers(dim)).to_json()
+                   for _ in range(args.count)]
+    except BudgetExceeded as ex:
+        _emit(args, {"inconclusive": str(ex)})
+        return EXIT_INCONCLUSIVE
     _emit(args, {"cell": {"v": list(v.canonical_word()),
                           "w": list(w.canonical_word()),
                           "J": sorted(cartan.labels[i] for i in J.J),
@@ -187,10 +195,11 @@ def cmd_verify(args) -> int:
         print("usage error: suite must be flags|twisted|doubleflag|all",
               file=sys.stderr)
         return EXIT_USAGE
-    if args.config is not None:
-        print("usage error: verify runs its suites on their built-in groups; "
-              "--config is not used", file=sys.stderr)
-        return EXIT_USAGE
+    for option, value in (("--config", args.config), ("--budget-elems", args.budget_elems)):
+        if value is not None:
+            print("usage error: verify runs its suites on their built-in groups; "
+                  f"{option} is not used", file=sys.stderr)
+            return EXIT_USAGE
     started = time.monotonic()
     checks = run_suite(args.suite, args.seed)
     payload = {"suite": args.suite, "seed": args.seed, "checks": checks}
@@ -212,7 +221,8 @@ def _common_options(ap: argparse.ArgumentParser, defaults: bool):
     ap.add_argument("--J", default=d(""),
                     help="comma-separated node labels, e.g. '2,3'")
     ap.add_argument("--seed", type=int, default=d(0))
-    ap.add_argument("--budget-elems", type=int, default=d(20000))
+    ap.add_argument("--budget-elems", type=int, default=d(None),
+                    help=f"element budget of enumerations (default {DEFAULT_BUDGET})")
     ap.add_argument("--format", choices=("json", "dot", "text"), default=d("json"))
     ap.add_argument("--out", default=d(None),
                     help="write the report here instead of stdout")

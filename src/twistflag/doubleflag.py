@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from .cartan import CartanMatrix
 from .cells import PinnedGroup, sample_mr
-from .errors import AmbiguousMinimum, NonReducedWord, NotMember
+from .errors import AmbiguousMinimum, NonReducedWord, NotMember, StratumMismatch
 from .posets import (LEFT, RIGHT, EdgeLabel, FinitePoset, LabeledPoset,
                      ReflectionOrder, ZERO_HAT, reflection_order_covering)
 from .twisted import demazure_min
@@ -195,7 +195,7 @@ def z_sample(pin: PinnedGroup, w: WeylElement, v: WeylElement, u: WeylElement,
     c is the Bruhat-minimal element with c <= w and v <= c^{-1} u; the
     point is (g1, g2) with g1 a negative Marsh-Rietsch sample for (c, w)
     and g2 a positive one for (v, c^{-1} u).  The three stratum checks
-    (g1 in B+ w B+, g2 in B+ v B-, g1 g2 in B- u B-) are asserted.
+    (g1 in B+ w B+, g2 in B+ v B-, g1 g2 in B- u B-) raise StratumMismatch.
     """
     from .cells import bruhat_stratum, double_minus_stratum, mixed_stratum
     g = w.group
@@ -220,11 +220,11 @@ def z_sample(pin: PinnedGroup, w: WeylElement, v: WeylElement, u: WeylElement,
     g1, g2 = s1.matrix, s2.matrix
     if check:
         if bruhat_stratum(pin, g1) != w:
-            raise AssertionError("g1 missed B+ w B+")
+            raise StratumMismatch("g1 missed B+ w B+")
         if mixed_stratum(pin, g2) != v:
-            raise AssertionError("g2 missed B+ v B-")
+            raise StratumMismatch("g2 missed B+ v B-")
         if double_minus_stratum(pin, g1 * g2) != u:
-            raise AssertionError("g1 g2 missed B- u B-")
+            raise StratumMismatch("g1 g2 missed B- u B-")
     return g1, g2
 
 

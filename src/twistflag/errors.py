@@ -49,5 +49,9 @@ class BoundaryError(TwistflagError):
     """Consecutive boundary matrices do not compose to zero."""
 
 
+class StratumMismatch(TwistflagError):
+    """A matrix lies in a different stratum or cell than it was built for."""
+
+
 class Inconclusive(TwistflagError):
     """The check could not be completed within its budget; not a failure."""

@@ -40,6 +40,7 @@ class FinitePoset:
             self.up[a].append(b)
             self.down[b].append(a)
         self._leq = self._close()
+        self._purity = None  # check_pure's (verdict, witness), once computed
 
     def _close(self):
         n = len(self.elements)
@@ -114,8 +115,15 @@ def check_pure(p: FinitePoset):
     """True iff all maximal chains between comparable pairs have equal length.
 
     Returns (verdict, witness); the witness on failure is a pair of
-    maximal chains of different lengths for the same pair.
+    maximal chains of different lengths for the same pair.  Computed once
+    per poset; later calls (check_thin's among them) read the stored result.
     """
+    if p._purity is None:
+        p._purity = _purity(p)
+    return p._purity
+
+
+def _purity(p: FinitePoset):
     n = len(p.elements)
     shortest: dict = {}
     longest: dict = {}

@@ -123,17 +123,21 @@ class TwistedIntervalPoset:
         self.elements = elements
         self.covers = covers
         self.jlengths = jlengths
+        self._poset = None
 
     def rank_of(self, el: WeylElement) -> int:
         return self.jlengths[el] - self.jlengths[self.bottom]
 
     def to_finite_poset(self):
-        from .posets import FinitePoset
-        keys = [tuple(el.canonical_word()) for el in self.elements]
-        index = {el: k for k, el in enumerate(self.elements)}
-        covers = {(index[a], index[b]) for a, b in self.covers}
-        rank = [self.rank_of(el) for el in self.elements]
-        return FinitePoset(keys, covers, rank)
+        """The interval as a FinitePoset keyed by canonical words; built once."""
+        if self._poset is None:
+            from .posets import FinitePoset
+            keys = [tuple(el.canonical_word()) for el in self.elements]
+            index = {el: k for k, el in enumerate(self.elements)}
+            covers = {(index[a], index[b]) for a, b in self.covers}
+            rank = [self.rank_of(el) for el in self.elements]
+            self._poset = FinitePoset(keys, covers, rank)
+        return self._poset
 
 
 def j_interval(x: WeylElement, y: WeylElement, J: ParabolicContext) -> TwistedIntervalPoset:

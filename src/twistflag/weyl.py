@@ -6,6 +6,10 @@ representation uniformly across finite, affine and indefinite type.
 Equality is matrix equality, so elements are hashable and enumeration
 can deduplicate by key.
 
+Products are table-driven: the only multiplication is w -> w s_i, a
+column update cached on w (``WeylGroup._times_simple``); a general
+product x * y applies the letters of a reduced word of y to x.
+
 Determinism rule used everywhere: whenever a descent or a reduced word
 must be chosen, the smallest node index wins.
 """
@@ -20,13 +24,6 @@ from .errors import BudgetExceeded, NonReducedWord
 Word = tuple  # sequence of node indices
 
 DEFAULT_BUDGET = 20_000
-
-
-def _mat_mul(a, b, n):
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
 
 
 def _identity(n):
@@ -51,19 +48,31 @@ def _positive_definite(m) -> bool:
 
 
 class WeylElement:
-    """A Weyl group element as an integer matrix on the simple-root basis."""
+    """A Weyl group element as an integer matrix on the simple-root basis.
 
-    __slots__ = ("group", "mat", "_inv")
+    Besides the matrix it caches, for the life of its group, its inverse,
+    its right neighbours w s_i (slot i, filled on first use) and its right
+    descent set.
+    """
+
+    __slots__ = ("group", "mat", "_inv", "_nbr", "_rdes")
 
     def __init__(self, group: "WeylGroup", mat):
         self.group = group
         self.mat = mat
         self._inv = None
+        self._nbr = None
+        self._rdes = None
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
+        """self * other, by right multiplication with the letters of other."""
         if other.group is not self.group:
             raise ValueError("elements live in different Weyl groups")
-        return self.group._wrap(_mat_mul(self.mat, other.mat, self.group.n))
+        g = self.group
+        out = self
+        for i in reversed(g._strip(other)):
+            out = g._times_simple(out, i)
+        return out
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, WeylElement) and self.group is other.group
@@ -107,15 +116,12 @@ class WeylGroup:
         self.budget = budget
         self._id_mat = _identity(self.n)
         self._elements: dict = {}
-        self._simple = []
         a = cartan.entries
-        for i in range(self.n):
-            # column j is alpha_j - a[j][i] * alpha_i
-            m = [[1 if r == c else 0 for c in range(self.n)] for r in range(self.n)]
-            for j in range(self.n):
-                m[i][j] -= a[j][i]
-            self._simple.append(self._wrap(tuple(tuple(r) for r in m)))
+        # column j of w s_i is col_j - _coef[i][j] * col_i
+        self._coef = [tuple(a[j][i] for j in range(self.n)) for i in range(self.n)]
         self.identity = self._wrap(self._id_mat)
+        # s_i(alpha_j) = alpha_j - a[j][i] alpha_i: the column update of e
+        self._simple = [self._times_simple(self.identity, i) for i in range(self.n)]
         self._stripped: dict = {self._id_mat: ()}
         self._bruhat: dict = {}
         self._full = None
@@ -126,6 +132,25 @@ class WeylGroup:
             el = WeylElement(self, mat)
             self._elements[mat] = el
         return el
+
+    def _times_simple(self, w: WeylElement, i: int) -> WeylElement:
+        """w s_i: column j becomes col_j - a[j][i] col_i, so only rows with a
+        nonzero entry in column i change.  Cached in w's neighbour slot i,
+        and, s_i being an involution, linked back from (w s_i)'s slot i."""
+        nbr = w._nbr
+        if nbr is None:
+            nbr = w._nbr = [None] * self.n
+        out = nbr[i]
+        if out is None:
+            coef = self._coef[i]
+            out = self._wrap(tuple(
+                tuple(x - c * row[i] for x, c in zip(row, coef)) if row[i] else row
+                for row in w.mat))
+            nbr[i] = out
+            if out._nbr is None:
+                out._nbr = [None] * self.n
+            out._nbr[i] = w
+        return out
 
     def simple(self, i: int) -> WeylElement:
         if not 0 <= i < self.n:
@@ -151,13 +176,16 @@ class WeylGroup:
         col = [mat[k][i] for k in range(self.n)]
         return all(x <= 0 for x in col) and any(x < 0 for x in col)
 
-    def right_descents(self, w: WeylElement) -> set:
-        return {i for i in range(self.n) if self._col_negative(w.mat, i)}
+    def right_descents(self, w: WeylElement) -> frozenset:
+        """The i with l(w s_i) < l(w): column i of w is a negative root."""
+        if w._rdes is None:
+            w._rdes = frozenset(i for i in range(self.n) if self._col_negative(w.mat, i))
+        return w._rdes
 
-    def left_descents(self, w: WeylElement) -> set:
+    def left_descents(self, w: WeylElement) -> frozenset:
         return self.right_descents(w.inverse())
 
-    def descents(self, w: WeylElement, side: str) -> set:
+    def descents(self, w: WeylElement, side: str) -> frozenset:
         if side == "right":
             return self.right_descents(w)
         if side == "left":
@@ -181,7 +209,7 @@ class WeylGroup:
                 raise BudgetExceeded("descent walk exceeded step budget")
             path.append(cur.mat)
             letters.append(min(ds))
-            cur = cur * self.simple(letters[-1])
+            cur = self._times_simple(cur, letters[-1])
         tail = self._stripped[cur.mat]
         for mat, i in zip(reversed(path), reversed(letters)):
             tail = (i,) + tail
@@ -224,7 +252,7 @@ class WeylGroup:
             res = scan(k - 1, t)
             if not res:
                 i = word[k - 1]
-                if self._col_negative(t.mat, i):  # right descent of t
+                if i in self.right_descents(t):
                     res = scan(k - 1, t * self.simple(i))
             memo[mkey] = res
             return res
@@ -301,7 +329,7 @@ def simple_reflection(cartan: CartanMatrix, i: int) -> WeylElement:
     return weyl_group(cartan).simple(i)
 
 
-def descents(w: WeylElement, side: str) -> set:
+def descents(w: WeylElement, side: str) -> frozenset:
     return w.group.descents(w, side)
 
 

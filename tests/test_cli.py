@@ -175,3 +175,26 @@ def test_verify_rejects_config(capsys, tmp_path):
         code, out, err = run(capsys, "--config", str(path), "verify", "--suite", "flags")
         assert code == 4 and out == ""
         assert err.startswith("usage error: verify runs its suites on their built-in groups")
+
+
+def test_verify_rejects_budget_elems(capsys):
+    """--budget-elems has no effect on the built-in suites, so verify refuses
+    it, given before or after the verb, even at the default value."""
+    for argv in (["--budget-elems", "1", "verify", "--suite", "flags"],
+                 ["verify", "--suite", "flags", "--budget-elems", "20000"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 4 and out == ""
+        assert err.startswith("usage error: verify runs its suites on their built-in groups; "
+                              "--budget-elems is not used")
+
+
+def test_sample_honours_budget(capsys, tmp_path):
+    cfg = tmp_path / "a3.json"
+    cfg.write_text(json.dumps({"cartan": [[2, -1, 0], [-1, 2, -1], [0, -1, 2]],
+                               "labels": ["1", "2", "3"]}))
+    argv = ("--config", str(cfg), "sample", "", "1 2 3", "--J", "1,2")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and len(json.loads(out)["samples"]) == 1
+    code, out, _ = run(capsys, "--budget-elems", "3", *argv)
+    assert code == 3
+    assert json.loads(out) == {"inconclusive": "ball enumeration exceeded budget of 3 elements"}

@@ -236,6 +236,34 @@ def test_finiteness_decided_once(monkeypatch):
 
 # -- the enumerating paths the Weyl layer replaced, kept as oracles ---------
 
+def _mat_mul(a, b, n):
+    """The dense matrix product that the column-update kernel replaced."""
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
+        for i in range(n)
+    )
+
+
+def _descents_by_column_sign(w: WeylElement) -> set:
+    """The i whose column w(alpha_i) is a negative root."""
+    cols = [[row[i] for row in w.mat] for i in range(w.group.n)]
+    return {i for i, col in enumerate(cols) if max(col) <= 0 < -min(col)}
+
+
+def _check_kernel(g: WeylGroup, radius: int):
+    """Products, neighbour slots and descent sets against the dense oracles."""
+    ball = g.ball(radius)
+    for x in ball:
+        for y in ball:
+            assert (x * y).mat == _mat_mul(x.mat, y.mat, g.n), (x, y)
+        for i in range(g.n):
+            xs = g._times_simple(x, i)
+            assert xs is x * g.simple(i) and x._nbr[i] is xs
+            assert g._times_simple(xs, i) is x and xs._nbr[i] is x
+        des = g.right_descents(x)
+        assert isinstance(des, frozenset) and des is g.right_descents(x)
+        assert des == _descents_by_column_sign(x)
+
 def _bfs_finite(ctx: ParabolicContext, cap: int) -> bool:
     """W_J is finite iff its breadth-first enumeration ends within cap elements."""
     try:
@@ -273,9 +301,9 @@ _ORACLE_MATRICES = {
 
 @pytest.mark.parametrize("name", sorted(_ORACLE_MATRICES))
 def test_weyl_layer_matches_oracles(name):
-    """The Cartan-form verdict, the greedy-ascent longest element and the
-    descent-walk inverse agree with the BFS, the max-length scan and the
-    Fraction inverse on every J."""
+    """The Cartan-form verdict, the greedy-ascent longest element, the
+    descent-walk inverse and the column-update products agree with the BFS,
+    the max-length scan, the Fraction inverse and the dense product."""
     cartan, order = _ORACLE_MATRICES[name]
     g = weyl_group(cartan)
     for r in range(g.n + 1):
@@ -295,6 +323,7 @@ def test_weyl_layer_matches_oracles(name):
         assert RatMatrix(w.inverse().mat) == RatMatrix(w.mat).inverse()  # Fraction oracle
         assert w.inverse().inverse() is w
         assert g.length(w) == len(canonical_reduced_word(w)) == len(inversion_set(w))
+    _check_kernel(g, 3)
 
 
 @st.composite
@@ -325,6 +354,7 @@ def test_weyl_layer_properties(cartan):
     for w in g.ball(3):
         assert w.inverse().inverse() is w
         assert w.length() == len(inversion_set(w))
+    _check_kernel(g, 3)
 
 
 def test_finiteness_from_cartan_form(monkeypatch):
