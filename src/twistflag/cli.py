@@ -25,8 +25,8 @@ EXIT_INCONCLUSIVE = 3
 EXIT_USAGE = 4
 
 
-class _BadConfig(Exception):
-    """The --config file is missing, unreadable or not a valid Cartan matrix."""
+class _UsageError(Exception):
+    """A bad command line or --config file; ``main`` prints it and exits 4."""
 
 
 def _load_cartan(args) -> CartanMatrix:
@@ -35,10 +35,10 @@ def _load_cartan(args) -> CartanMatrix:
             with open(args.config) as fh:
                 return CartanMatrix.from_config(json.load(fh))
         except KeyError as ex:
-            raise _BadConfig(f"config {args.config}: missing key {ex}") from None
+            raise _UsageError(f"config {args.config}: missing key {ex}") from None
         # json.JSONDecodeError is a ValueError; TypeError is a config of the wrong shape
         except (OSError, TypeError, ValueError) as ex:
-            raise _BadConfig(f"config {args.config}: {ex}") from None
+            raise _UsageError(f"config {args.config}: {ex}") from None
     return CartanMatrix.from_config({"cartan": [[2, -1], [-1, 2]],
                                      "labels": ["1", "2"]})
 
@@ -60,6 +60,16 @@ def _parse_J(cartan: CartanMatrix, text: str) -> frozenset:
         return frozenset()
     return frozenset(cartan.node_of_label(p)
                      for p in text.replace(",", " ").split())
+
+
+def _parse_query(cartan: CartanMatrix, group, J_text: str, first: str, second: str):
+    """The (J, first, second) of a query verb; a bad label is a usage error."""
+    try:
+        return (ParabolicContext(group, _parse_J(cartan, J_text)),
+                group.from_word(_parse_word(cartan, first)),
+                group.from_word(_parse_word(cartan, second)))
+    except ValueError as ex:
+        raise _UsageError(ex) from None
 
 
 def _emit(args, payload, dot: str = None):
@@ -90,13 +100,7 @@ def _flatten_text(payload, prefix=""):
 def cmd_order(args) -> int:
     cartan = _load_cartan(args)
     group = weyl_group(cartan, _budget(args))
-    try:
-        J = ParabolicContext(group, _parse_J(cartan, args.J))
-        v = group.from_word(_parse_word(cartan, args.v))
-        w = group.from_word(_parse_word(cartan, args.w))
-    except ValueError as ex:
-        print(f"usage error: {ex}", file=sys.stderr)
-        return EXIT_USAGE
+    J, v, w = _parse_query(cartan, group, args.J, args.v, args.w)
     payload = {
         "v": {"word": list(v.canonical_word()), "length": v.length(),
               "jlength": j_length(v, J)},
@@ -114,22 +118,14 @@ def cmd_order(args) -> int:
 def cmd_interval(args) -> int:
     cartan = _load_cartan(args)
     group = weyl_group(cartan, _budget(args))
-    try:
-        J = ParabolicContext(group, _parse_J(cartan, args.J))
-        x = group.from_word(_parse_word(cartan, args.x))
-        y = group.from_word(_parse_word(cartan, args.y))
-    except ValueError as ex:
-        print(f"usage error: {ex}", file=sys.stderr)
-        return EXIT_USAGE
+    J, x, y = _parse_query(cartan, group, args.J, args.x, args.y)
     wanted = set(args.checks.split(",")) if args.checks else set()
     unknown = wanted - {"pure", "thin", "el", "homology", ""}
     if unknown:
-        print(f"usage error: unknown checks {sorted(unknown)}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError(f"unknown checks {sorted(unknown)}")
     try:
         if not j_leq(x, y, J):
-            print("usage error: x <=J y fails", file=sys.stderr)
-            return EXIT_USAGE
+            raise _UsageError("x <=J y fails")
         interval = j_interval(x, y, J)
         fp = interval.to_finite_poset()
         payload = {"poset": poset_to_json(fp), "checks": {}}
@@ -154,27 +150,15 @@ def cmd_sample(args) -> int:
     from .twisted import j_length
     cartan = _load_cartan(args)
     if cartan.entries != cartan_A(cartan.size).entries:
-        print("usage error: sample needs a type A Cartan matrix (the SL_n pinning)",
-              file=sys.stderr)
-        return EXIT_USAGE
-    n = cartan.size + 1
+        raise _UsageError("sample needs a type A Cartan matrix (the SL_n pinning)")
     try:
-        pin = PinnedGroup(n, budget=_budget(args))
+        pin = PinnedGroup(cartan.size + 1, budget=_budget(args))
     except ValueError as ex:
-        print(f"usage error: {ex}", file=sys.stderr)
-        return EXIT_USAGE
-    group = pin.weyl
-    try:
-        J = ParabolicContext(group, _parse_J(cartan, args.J))
-        v = group.from_word(_parse_word(cartan, args.v))
-        w = group.from_word(_parse_word(cartan, args.w))
-    except ValueError as ex:
-        print(f"usage error: {ex}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError(ex) from None
+    J, v, w = _parse_query(cartan, pin.weyl, args.J, args.v, args.w)
     try:
         if not j_leq(v, w, J):
-            print("usage error: v <=J w fails, the cell is empty", file=sys.stderr)
-            return EXIT_USAGE
+            raise _UsageError("v <=J w fails, the cell is empty")
         dim = j_length(w, J) - j_length(v, J)
         sampler = ParamSampler(args.seed).child("cli-sample")
         samples = [sample_twisted_cell(pin, v, w, J, sampler.integers(dim)).to_json()
@@ -192,14 +176,11 @@ def cmd_sample(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.suite not in ("flags", "twisted", "doubleflag", "all"):
-        print("usage error: suite must be flags|twisted|doubleflag|all",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError("suite must be flags|twisted|doubleflag|all")
     for option, value in (("--config", args.config), ("--budget-elems", args.budget_elems)):
         if value is not None:
-            print("usage error: verify runs its suites on their built-in groups; "
-                  f"{option} is not used", file=sys.stderr)
-            return EXIT_USAGE
+            raise _UsageError("verify runs its suites on their built-in groups; "
+                              f"{option} is not used")
     started = time.monotonic()
     checks = run_suite(args.suite, args.seed)
     payload = {"suite": args.suite, "seed": args.seed, "checks": checks}
@@ -269,7 +250,7 @@ def main(argv=None) -> int:
             return cmd_verify(args)
         if args.command == "sample":
             return cmd_sample(args)
-    except _BadConfig as ex:
+    except _UsageError as ex:
         print(f"usage error: {ex}", file=sys.stderr)
         return EXIT_USAGE
     except TwistflagError as ex:

@@ -159,28 +159,31 @@ def q_el_label(interval: FinitePoset, tc: ThickenedCartan,
     """
     g = tc.base_group
     ext = tc.ext_group
+    ends = []  # per element: (th(w, v), embedded u), or None for 0-hat
+    for key in interval.elements:
+        triple = _decode_triple(g, key)
+        if triple is None:
+            ends.append(None)
+        else:
+            w, v, u = triple
+            ends.append((tc.th(w, v), tc.embed(u)))
     raw = {}
     for (i, j) in interval.covers:
-        lo = _decode_triple(g, interval.elements[i])
-        hi = _decode_triple(g, interval.elements[j])
-        w2, v2, u2 = hi
-        top2 = tc.th(w2, v2)
-        if lo is None:
-            t = top2 * tc.embed(u2).inverse()
+        top2, u2 = ends[j]
+        if ends[i] is None:
+            t = top2 * u2.inverse()
             if not (t * t).is_identity():
                 raise AmbiguousMinimum("0-hat cover does not yield a reflection")
             raw[(i, j)] = (RIGHT, t)
             continue
-        w1, v1, u1 = lo
-        if u1 == u2:
-            t = top2 * tc.th(w1, v1).inverse()
-            raw[(i, j)] = (RIGHT, t)
+        top1, u1 = ends[i]
+        if u1 is u2:
+            raw[(i, j)] = (RIGHT, top2 * top1.inverse())
         else:
             # a rank-one step moves only one endpoint of the embedded interval
-            if tc.th(w1, v1) != top2:
+            if top1 is not top2:
                 raise ValueError("cover moves both endpoints")
-            t = tc.embed(u1) * tc.embed(u2).inverse()
-            raw[(i, j)] = (LEFT, t)
+            raw[(i, j)] = (LEFT, u1 * u2.inverse())
     if order is None:
         needed = [t for (_, t) in raw.values()]
         order = reflection_order_covering(ext, needed, first_nodes=range(tc.base.size))

@@ -183,8 +183,11 @@ def root_of_reflection(t: WeylElement) -> tuple:
     A reflection acts as v -> v - <v, beta^vee> beta, so every column of
     1 - t is an integer multiple of beta: the first nonzero column,
     divided by its gcd, is beta up to sign.  Anything else (a column off
-    that line, or t(beta) != -beta) is not a reflection.
+    that line, or t(beta) != -beta) is not a reflection.  The root is
+    stored on t once found, so a non-reflection raises on every call.
     """
+    if t._root is not None:
+        return t._root
     n = t.group.n
     m = t.mat
     cols = [tuple((i == j) - m[i][j] for i in range(n)) for j in range(n)]
@@ -200,7 +203,8 @@ def root_of_reflection(t: WeylElement) -> tuple:
         raise ValueError("element is not a reflection")
     if any(x < 0 for x in beta) and any(x > 0 for x in beta):
         raise ValueError("root vector is not sign-coherent")
-    return _positive(beta)
+    t._root = _positive(beta)
+    return t._root
 
 
 def _in_open_cone(beta, b1, b2):
@@ -287,7 +291,7 @@ class ReflectionOrder:
             if not (t * t).is_identity() or t.is_identity():
                 raise ValueError("order entry is not a reflection")
             self._pos[t] = k
-        self._roots = [root_of_reflection(t) for t in self.reflections]
+        self._roots = [t._root or root_of_reflection(t) for t in self.reflections]
         self._root_pos = {beta: k for k, beta in enumerate(self._roots)}
         if check:
             bad = self.dihedral_violation()
@@ -361,7 +365,7 @@ def reflection_order_covering(group: WeylGroup, needed: Iterable[WeylElement],
     """
     needed = list(dict.fromkeys(needed))
     n = group.n
-    roots = {t: root_of_reflection(t) for t in needed}
+    roots = {t: t._root or root_of_reflection(t) for t in needed}
     # Each key component is <y, beta>/<x, beta> with x strictly positive;
     # a lexicographic tuple of such slopes still satisfies the mediant
     # property, so betweenness along every dihedral string is automatic.

@@ -39,7 +39,7 @@ def _witnesses(v: WeylElement, w: WeylElement, J: ParabolicContext):
 
 def j_leq(v: WeylElement, w: WeylElement, J: ParabolicContext) -> bool:
     """The twisted order v <=J w, decided by bounded witness search."""
-    key = (v.mat, w.mat)
+    key = (v, w)
     got = J._jleq_cache.get(key)
     if got is not None:
         return got
@@ -51,7 +51,7 @@ def j_leq(v: WeylElement, w: WeylElement, J: ParabolicContext) -> bool:
 def minimal_c(v: WeylElement, w: WeylElement, J: ParabolicContext) -> WeylElement:
     """The unique Bruhat-minimal witness c for v <=J w."""
     g = J.group
-    key = (v.mat, w.mat)
+    key = (v, w)
     got = J._minc_cache.get(key)
     if got is not None:
         return got

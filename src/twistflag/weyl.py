@@ -3,8 +3,8 @@
 Elements are exact integer matrices acting on the simple-root basis
 (columns are the images of the simple roots), which is a faithful
 representation uniformly across finite, affine and indefinite type.
-Equality is matrix equality, so elements are hashable and enumeration
-can deduplicate by key.
+Each group interns one element per matrix, so equality is identity and
+an element is its own memo key; the matrix is hashed only on interning.
 
 Products are table-driven: the only multiplication is w -> w s_i, a
 column update cached on w (``WeylGroup._times_simple``); a general
@@ -50,12 +50,15 @@ def _positive_definite(m) -> bool:
 class WeylElement:
     """A Weyl group element as an integer matrix on the simple-root basis.
 
-    Besides the matrix it caches, for the life of its group, its inverse,
-    its right neighbours w s_i (slot i, filled on first use) and its right
-    descent set.
+    Built only by ``WeylGroup._wrap``, so two elements are equal exactly
+    when they are the same object.  Besides the matrix it caches, for the
+    life of its group, its inverse, its right neighbours w s_i (slot i,
+    filled on first use), its right descent set, its descent-walk word
+    (``WeylGroup._strip``) and, for a reflection, its root (filled by
+    ``posets.root_of_reflection``).
     """
 
-    __slots__ = ("group", "mat", "_inv", "_nbr", "_rdes")
+    __slots__ = ("group", "mat", "_inv", "_nbr", "_rdes", "_word", "_root")
 
     def __init__(self, group: "WeylGroup", mat):
         self.group = group
@@ -63,6 +66,8 @@ class WeylElement:
         self._inv = None
         self._nbr = None
         self._rdes = None
+        self._word = None
+        self._root = None
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         """self * other, by right multiplication with the letters of other."""
@@ -73,13 +78,6 @@ class WeylElement:
         for i in reversed(g._strip(other)):
             out = g._times_simple(out, i)
         return out
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, WeylElement) and self.group is other.group
-                and self.mat == other.mat)
-
-    def __hash__(self) -> int:
-        return hash(self.mat)
 
     def inverse(self) -> "WeylElement":
         """s_{a_1}...s_{a_k} for the stripped letters of w; linked both ways."""
@@ -94,7 +92,7 @@ class WeylElement:
         return tuple(sum(m[i][k] * vec[k] for k in range(n)) for i in range(n))
 
     def is_identity(self) -> bool:
-        return self.mat == self.group._id_mat
+        return self is self.group.identity
 
     def length(self) -> int:
         return self.group.length(self)
@@ -108,21 +106,26 @@ class WeylElement:
 
 
 class WeylGroup:
-    """Element factory plus the memo tables for one Cartan matrix."""
+    """Element factory plus the memo tables for one Cartan matrix.
+
+    ``_wrap`` interns one element per matrix; that table is the only one
+    keyed by matrices.  All other memo state lives on an interned element
+    (its slots) or in a group or ``ParabolicContext`` table keyed by
+    interned elements, and lives as long as the group.
+    """
 
     def __init__(self, cartan: CartanMatrix, budget: int = DEFAULT_BUDGET):
         self.cartan = cartan
         self.n = cartan.size
         self.budget = budget
-        self._id_mat = _identity(self.n)
         self._elements: dict = {}
         a = cartan.entries
         # column j of w s_i is col_j - _coef[i][j] * col_i
         self._coef = [tuple(a[j][i] for j in range(self.n)) for i in range(self.n)]
-        self.identity = self._wrap(self._id_mat)
+        self.identity = self._wrap(_identity(self.n))
+        self.identity._word = ()
         # s_i(alpha_j) = alpha_j - a[j][i] alpha_i: the column update of e
         self._simple = [self._times_simple(self.identity, i) for i in range(self.n)]
-        self._stripped: dict = {self._id_mat: ()}
         self._bruhat: dict = {}
         self._full = None
 
@@ -194,26 +197,24 @@ class WeylGroup:
 
     def _strip(self, w: WeylElement) -> Word:
         """Letters a_1..a_k, each the smallest right descent of what is left,
-        with w s_{a_1}...s_{a_k} = e; memoized on every element walked."""
-        known = self._stripped.get(w.mat)
-        if known is not None:
-            return known
+        with w s_{a_1}...s_{a_k} = e; stored on every element walked."""
+        if w._word is not None:
+            return w._word
         path = []
-        letters = []
         cur = w
-        while cur.mat not in self._stripped:
+        while cur._word is None:
             ds = self.right_descents(cur)
             if not ds:
                 raise ValueError("descent-free non-identity matrix; corrupted element")
             if len(path) >= self.budget:
                 raise BudgetExceeded("descent walk exceeded step budget")
-            path.append(cur.mat)
-            letters.append(min(ds))
-            cur = self._times_simple(cur, letters[-1])
-        tail = self._stripped[cur.mat]
-        for mat, i in zip(reversed(path), reversed(letters)):
+            i = min(ds)
+            path.append((cur, i))
+            cur = self._times_simple(cur, i)
+        tail = cur._word
+        for el, i in reversed(path):
             tail = (i,) + tail
-            self._stripped[mat] = tail
+            el._word = tail
         return tail
 
     def length(self, w: WeylElement) -> int:
@@ -229,7 +230,7 @@ class WeylGroup:
         """Subword test on the canonical word of w, memoized."""
         if v.group is not self or w.group is not self:
             raise ValueError("elements live in different Weyl groups")
-        key = (v.mat, w.mat)
+        key = (v, w)
         known = self._bruhat.get(key)
         if known is not None:
             return known
@@ -245,7 +246,7 @@ class WeylGroup:
                 return True
             if k == 0:
                 return False
-            mkey = (k, t.mat)
+            mkey = (k, t)
             got = memo.get(mkey)
             if got is not None:
                 return got
@@ -267,13 +268,13 @@ class WeylGroup:
              budget: Optional[int] = None) -> list:
         """All elements of length <= max_length over the given letters.
 
-        Breadth-first with matrix-keyed deduplication; raises
+        Breadth-first with element-keyed deduplication; raises
         BudgetExceeded instead of silently truncating.
         """
         if budget is None:
             budget = self.budget
         gens = sorted(letters) if letters is not None else list(range(self.n))
-        seen = {self._id_mat}
+        seen = {self.identity}
         out = [self.identity]
         frontier = [self.identity]
         for _ in range(max_length):
@@ -281,8 +282,8 @@ class WeylGroup:
             for el in frontier:
                 for i in gens:
                     cand = el * self.simple(i)
-                    if cand.mat not in seen:
-                        seen.add(cand.mat)
+                    if cand not in seen:
+                        seen.add(cand)
                         nxt.append(cand)
                         if len(seen) > budget:
                             raise BudgetExceeded(
@@ -379,7 +380,7 @@ class ParabolicContext:
 
     def decompose(self, w: WeylElement):
         """The unique w = w^J * w_J with w^J minimal in w*W_J and w_J in W_J."""
-        got = self._decomp_cache.get(w.mat)
+        got = self._decomp_cache.get(w)
         if got is not None:
             return got
         g = self.group
@@ -393,11 +394,11 @@ class ParabolicContext:
             letters.append(j)
             cur = cur * g.simple(j)
         w_j = g.from_word(reversed(letters))
-        if cur * w_j != w:
+        if cur * w_j is not w:
             raise ValueError("parabolic decomposition does not recompose w")
         if g.length(cur) + g.length(w_j) != g.length(w):
             raise NonReducedWord("parabolic decomposition is not length-additive")
-        self._decomp_cache[w.mat] = (cur, w_j)
+        self._decomp_cache[w] = (cur, w_j)
         return cur, w_j
 
     def min_rep(self, w: WeylElement) -> WeylElement:

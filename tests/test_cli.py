@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -95,6 +99,37 @@ def test_verify_suite_deterministic(capsys):
     data = json.loads(out1)
     assert all(c["status"] == "pass" for c in data["checks"])
     assert "elapsed_seconds" not in data
+
+
+_PADDED_MAIN = """
+import sys
+pad = [tuple(range(k % 16)) for k in range(int(sys.argv[1]))]
+from twistflag.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def test_output_independent_of_hash_seed(tmp_path):
+    """Processes with different PYTHONHASHSEED, and different heap padding
+    before the import, print the same bytes.  Padding moves every element to
+    another address, which reorders any set of elements (they hash by
+    identity), so this catches a result that follows such an order: the
+    affine interval's reflection order is fitted around the set of its cover
+    labels.  An in-process rerun cannot, since its addresses repeat."""
+    cfg = tmp_path / "affine.json"
+    cfg.write_text(json.dumps({"cartan": [[2, -2], [-2, 2]], "labels": ["1", "2"]}))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    for argv in (["--config", str(cfg), "--J", "1", "interval", "", "1 2 1 2 1 2"],
+                 ["verify", "--suite", "doubleflag", "--seed", "0"]):
+        outs = set()
+        for seed, pad in (("1", 0), ("2", 7), ("2", 333)):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+            proc = subprocess.run([sys.executable, "-c", _PADDED_MAIN, str(pad), *argv],
+                                  env=env, capture_output=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            outs.add(proc.stdout)
+        assert len(outs) == 1, argv
 
 
 def test_verify_bad_suite(capsys):

@@ -251,11 +251,15 @@ def _descents_by_column_sign(w: WeylElement) -> set:
 
 
 def _check_kernel(g: WeylGroup, radius: int):
-    """Products, neighbour slots and descent sets against the dense oracles."""
+    """Products, neighbour slots and descent sets against the dense oracles,
+    and interning: every element reached is the one interned for its matrix."""
     ball = g.ball(radius)
+    reached = list(ball)
     for x in ball:
         for y in ball:
-            assert (x * y).mat == _mat_mul(x.mat, y.mat, g.n), (x, y)
+            xy = x * y
+            assert xy.mat == _mat_mul(x.mat, y.mat, g.n), (x, y)
+            reached.append(xy)
         for i in range(g.n):
             xs = g._times_simple(x, i)
             assert xs is x * g.simple(i) and x._nbr[i] is xs
@@ -263,6 +267,11 @@ def _check_kernel(g: WeylGroup, radius: int):
         des = g.right_descents(x)
         assert isinstance(des, frozenset) and des is g.right_descents(x)
         assert des == _descents_by_column_sign(x)
+        reached += [x.inverse(), g.from_word(canonical_reduced_word(x))]
+    by_mat = {}
+    for x in reached:
+        assert g._elements[x.mat] is x
+        assert by_mat.setdefault(x.mat, x) is x  # equal matrices, same object
 
 def _bfs_finite(ctx: ParabolicContext, cap: int) -> bool:
     """W_J is finite iff its breadth-first enumeration ends within cap elements."""
