@@ -8,6 +8,7 @@ only added under --timings since they are not reproducible.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -148,6 +149,8 @@ def cmd_interval(args) -> int:
 def cmd_sample(args) -> int:
     from .cells import ParamSampler, PinnedGroup, sample_twisted_cell
     from .twisted import j_length
+    if args.count < 0:
+        raise _UsageError(f"--count must be >= 0, got {args.count}")
     cartan = _load_cartan(args)
     if cartan.entries != cartan_A(cartan.size).entries:
         raise _UsageError("sample needs a type A Cartan matrix (the SL_n pinning)")
@@ -195,69 +198,68 @@ def cmd_verify(args) -> int:
     return EXIT_PASS
 
 
-def _common_options(ap: argparse.ArgumentParser, defaults: bool):
-    d = (lambda v: v) if defaults else (lambda v: argparse.SUPPRESS)
-    ap.add_argument("--config", default=d(None),
-                    help="JSON file with {'cartan': ..., 'labels': ...}")
-    ap.add_argument("--J", default=d(""),
-                    help="comma-separated node labels, e.g. '2,3'")
-    ap.add_argument("--seed", type=int, default=d(0))
-    ap.add_argument("--budget-elems", type=int, default=d(None),
-                    help=f"element budget of enumerations (default {DEFAULT_BUDGET})")
-    ap.add_argument("--format", choices=("json", "dot", "text"), default=d("json"))
-    ap.add_argument("--out", default=d(None),
-                    help="write the report here instead of stdout")
-    ap.add_argument("--timings", action="store_true", default=d(False),
-                    help="include wall-clock timing in the report")
+# the shared options' defaults, the starting namespace of every parse: the
+# options themselves default to SUPPRESS, so a verb's parser leaves a value
+# given before the verb alone
+_DEFAULTS = {"config": None, "J": "", "seed": 0, "budget_elems": None,
+             "format": "json", "out": None, "timings": False}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    shared = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    shared.add_argument("--config", help="JSON file with {'cartan': ..., 'labels': ...}")
+    shared.add_argument("--J", help="comma-separated node labels, e.g. '2,3'")
+    shared.add_argument("--seed", type=int)
+    shared.add_argument("--budget-elems", type=int,
+                        help=f"element budget of enumerations (default {DEFAULT_BUDGET})")
+    shared.add_argument("--format", choices=("json", "dot", "text"),
+                        help="report format; dot is for interval only")
+    shared.add_argument("--out", help="write the report here instead of stdout")
+    shared.add_argument("--timings", action="store_true",
+                        help="include wall-clock timing in the report")
     ap = argparse.ArgumentParser(
-        prog="twistflag",
+        prog="twistflag", parents=[shared],
         description="Twisted Bruhat orders, positive cells, and their certificates")
-    _common_options(ap, defaults=True)
     sub = ap.add_subparsers(dest="command")
-    p_order = sub.add_parser("order", help="compare two elements in <=J")
+    p_order = sub.add_parser("order", parents=[shared], help="compare two elements in <=J")
     p_order.add_argument("v")
     p_order.add_argument("w")
-    _common_options(p_order, defaults=False)
-    p_interval = sub.add_parser("interval", help="build and certify [x, y] in <=J")
+    p_interval = sub.add_parser("interval", parents=[shared],
+                                help="build and certify [x, y] in <=J")
     p_interval.add_argument("x")
     p_interval.add_argument("y")
     p_interval.add_argument("--checks", default="pure,thin,el,homology")
-    _common_options(p_interval, defaults=False)
-    p_verify = sub.add_parser("verify", help="run a verification suite")
+    p_verify = sub.add_parser("verify", parents=[shared], help="run a verification suite")
     p_verify.add_argument("--suite", default="all")
-    _common_options(p_verify, defaults=False)
-    p_sample = sub.add_parser("sample",
+    p_sample = sub.add_parser("sample", parents=[shared],
                               help="sample points of a totally positive twisted cell")
     p_sample.add_argument("v")
     p_sample.add_argument("w")
     p_sample.add_argument("--count", type=int, default=1)
-    _common_options(p_sample, defaults=False)
     return ap
+
+
+_COMMANDS = {"order": cmd_order, "interval": cmd_interval, "verify": cmd_verify,
+             "sample": cmd_sample}
 
 
 def main(argv=None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
+    args = ap.parse_args(argv, argparse.Namespace(**_DEFAULTS))
+    if args.command is None:
+        ap.print_help()
+        return EXIT_USAGE
     try:
-        if args.command == "order":
-            return cmd_order(args)
-        if args.command == "interval":
-            return cmd_interval(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "sample":
-            return cmd_sample(args)
+        if args.format == "dot" and args.command != "interval":
+            raise _UsageError(f"--format dot is for interval only, not {args.command}")
+        return _COMMANDS[args.command](args)
     except _UsageError as ex:
         print(f"usage error: {ex}", file=sys.stderr)
         return EXIT_USAGE
     except TwistflagError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_FAIL
-    ap.print_help()
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -17,26 +17,26 @@ FACE_BUDGET = 50_000
 
 
 class ChainComplexZ:
-    """Boundary matrices of a simplicial complex over Z.
+    """Boundary maps of a simplicial complex over Z, as sparse columns.
 
     ``faces[k]`` is the ordered basis of k-faces (sorted vertex tuples);
-    ``boundary(k)`` maps k-chains to (k-1)-chains.  The composite of two
-    consecutive boundaries is checked to vanish on construction; a nonzero
-    composite raises ``BoundaryError``.
+    ``boundary(k)`` maps k-chains to (k-1)-chains: its j-th column is a
+    dict from the row index of each (k-1)-face of ``faces[k][j]`` to the
+    entry.  The composite of two consecutive boundaries is checked to
+    vanish on construction; a nonzero composite raises ``BoundaryError``.
     """
 
     def __init__(self, faces: dict, boundaries: dict):
         self.faces = faces
         self.boundaries = boundaries
-        columns = {k: _sparse_columns(m) for k, m in boundaries.items()}
         for k in sorted(boundaries):
             if k - 1 in boundaries:
-                lower = columns[k - 1]
-                for col in columns[k]:
+                lower = boundaries[k - 1]
+                for col in boundaries[k]:
                     # column of d_{k-1} d_k, accumulated over nonzero entries
                     acc: dict = {}
-                    for r, x in col:
-                        for i, y in lower[r]:
+                    for r, x in col.items():
+                        for i, y in lower[r].items():
                             acc[i] = acc.get(i, 0) + y * x
                     if any(acc.values()):
                         raise BoundaryError("boundary of boundary is nonzero")
@@ -45,34 +45,30 @@ class ChainComplexZ:
         return self.boundaries.get(k, [])
 
 
-def _sparse_columns(mat) -> list:
-    """Each column of a dense matrix as its (row, entry) pairs with entry != 0."""
-    return [[(i, x) for i, x in enumerate(col) if x] for col in zip(*mat)]
-
-
 def boundary_matrices(c: SimplicialComplex) -> ChainComplexZ:
-    """Standard boundary operators with alternating signs on sorted tuples."""
+    """Standard boundary operators with alternating signs on sorted tuples:
+    dropping vertex d of a face gives its facet with sign (-1)^d."""
     faces = c.faces()
     total = sum(len(v) for v in faces.values())
     if total > FACE_BUDGET:
         raise Inconclusive(f"complex has {total} faces, budget is {FACE_BUDGET}")
-    index = {k: {f: i for i, f in enumerate(faces[k])} for k in faces}
     boundaries = {}
     for k in sorted(faces):
         if k == 0:
             continue
-        rows = len(faces[k - 1])
-        mat = [[0] * len(faces[k]) for _ in range(rows)]
-        for j, f in enumerate(faces[k]):
-            for drop in range(len(f)):
-                sub = f[:drop] + f[drop + 1:]
-                mat[index[k - 1][sub]][j] = 1 if drop % 2 == 0 else -1
-        boundaries[k] = mat
+        index = {f: i for i, f in enumerate(faces[k - 1])}
+        boundaries[k] = [{index[f[:d] + f[d + 1:]]: -1 if d % 2 else 1
+                          for d in range(len(f))} for f in faces[k]]
     return ChainComplexZ(faces, boundaries)
 
 
-def smith_normal_form(matrix) -> tuple:
+def smith_normal_form(vectors) -> tuple:
     """Invariant factors d1 | d2 | ... and the rank, via exact row/col ops.
+
+    ``vectors`` are the rows of the matrix as sparse integer vectors
+    (dicts from index to entry).  A matrix and its transpose have the
+    same invariant factors, so they may as well be its columns, which is
+    how ``reduced_homology`` passes the boundary columns.
 
     Sparse phase first (Dumas-Saunders-Villard): over row and column
     dicts of the nonzero entries, repeatedly take the ±1 entry of least
@@ -87,8 +83,8 @@ def smith_normal_form(matrix) -> tuple:
     """
     rows = {}
     cols = {}
-    for i, row in enumerate(matrix):
-        entries = {j: x for j, x in enumerate(row) if x}
+    for i, vec in enumerate(vectors):
+        entries = {j: x for j, x in vec.items() if x}
         if entries:
             rows[i] = entries
             for j in entries:

@@ -103,13 +103,6 @@ class FinitePoset:
                     stack.append((nxt, path + (nxt,)))
         return out
 
-    def all_maximal_chains(self) -> list:
-        out = []
-        for top in self.maximal_elements():
-            for bot in self.minimal_elements():
-                out.extend(self.maximal_chains_down(top, bot))
-        return out
-
 
 def check_pure(p: FinitePoset):
     """True iff all maximal chains between comparable pairs have equal length.
@@ -539,8 +532,14 @@ class SimplicialComplex:
     def __init__(self, vertices: int, facets: Iterable):
         self.vertices = int(vertices)
         fs = {tuple(sorted(set(f))) for f in facets}
+        holders: dict = {}
+        for f in fs:
+            for v in f:
+                holders.setdefault(v, set()).add(f)
+        # f is maximal iff no other facet holds all of its vertices (every
+        # facet holds the empty one's)
         self.facets = sorted(f for f in fs
-                             if not any(set(f) < set(g) for g in fs if g != f))
+                             if len(fs.intersection(*(holders[v] for v in f))) == 1)
         for f in self.facets:
             if f and not (0 <= f[0] and f[-1] < self.vertices):
                 raise ValueError("facet vertex out of range")

@@ -62,6 +62,37 @@ def test_interval_dot_output(capsys):
     assert out.startswith("digraph")
 
 
+def test_dot_format_is_for_interval_only(capsys):
+    """Only interval has a DOT rendering; the other verbs refuse --format dot
+    before doing any work, instead of printing JSON."""
+    for argv in (["order", "2", "1"], ["sample", "2", "1", "--J", "2"],
+                 ["verify", "--suite", "flags"]):
+        for placed in (["--format", "dot", *argv], [*argv, "--format", "dot"]):
+            code, out, err = run(capsys, *placed)
+            assert code == 4 and out == ""
+            assert err.startswith("usage error: --format dot is for interval only")
+
+
+def test_options_before_or_after_the_verb(capsys, tmp_path):
+    """A shared option gives the same report, stderr and exit code on either
+    side of the verb, and one call's options do not leak into the next."""
+    cfg = tmp_path / "b2.json"
+    cfg.write_text(json.dumps({"cartan": [[2, -2], [-1, 2]], "labels": ["a", "b"]}))
+    for opts, verb in ((["--J", "2"], ["order", "2", "1"]),
+                       (["--format", "text", "--J", "1"], ["interval", "", "1 2 1"]),
+                       (["--seed", "3", "--J", "2"], ["sample", "2", "1", "--count", "2"]),
+                       (["--config", str(cfg)], ["order", "a", "a b a b"]),
+                       (["--J", "9"], ["interval", "", "1"]),
+                       (["--budget-elems", "5"], ["verify", "--suite", "flags"])):
+        before = run(capsys, *opts, *verb)
+        assert run(capsys, *verb, *opts) == before
+    assert run(capsys, "--J", "1", "order", "2", "1", "--J", "2") == \
+        run(capsys, "order", "2", "1", "--J", "2")
+    default = run(capsys, "sample", "2", "1", "--J", "2")
+    run(capsys, "--seed", "5", "sample", "2", "1", "--J", "2")
+    assert run(capsys, "sample", "2", "1", "--J", "2") == default
+
+
 def test_interval_inconclusive_budget(capsys, tmp_path):
     cfg = tmp_path / "affine.json"
     cfg.write_text(json.dumps({"cartan": [[2, -2], [-2, 2]], "labels": ["1", "2"]}))
@@ -194,6 +225,13 @@ def test_sample_verb(capsys, tmp_path):
     cfg.write_text(json.dumps({"cartan": [[2, -2], [-1, 2]], "labels": ["a", "b"]}))
     code, out, err = run(capsys, "--config", str(cfg), "sample", "a", "b a")
     assert code == 4 and out == "" and "type A" in err
+
+
+def test_sample_negative_count_is_usage_error(capsys):
+    code, out, err = run(capsys, "sample", "2", "1", "--J", "2", "--count", "-1")
+    assert code == 4 and out == "" and err == "usage error: --count must be >= 0, got -1\n"
+    code, out, _ = run(capsys, "sample", "2", "1", "--J", "2", "--count", "0")
+    assert code == 0 and json.loads(out)["samples"] == []
 
 
 def test_unknown_J_label_is_usage_error(capsys):

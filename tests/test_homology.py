@@ -14,18 +14,60 @@ from twistflag.homology import HomologyProfile, _dense_snf, homology_to_json
 from twistflag.weyl import weyl_group
 
 
+def _dense_boundaries(c):
+    """The dense boundary matrices ``F_{k-1} x F_k`` of a complex: the
+    oracle of the sparse columns of ``boundary_matrices``."""
+    faces = c.faces()
+    index = {k: {f: i for i, f in enumerate(faces[k])} for k in faces}
+    boundaries = {}
+    for k in sorted(faces):
+        if k == 0:
+            continue
+        mat = [[0] * len(faces[k]) for _ in range(len(faces[k - 1]))]
+        for j, f in enumerate(faces[k]):
+            for drop in range(len(f)):
+                sub = f[:drop] + f[drop + 1:]
+                mat[index[k - 1][sub]][j] = 1 if drop % 2 == 0 else -1
+        boundaries[k] = mat
+    return boundaries
+
+
+def _vectors(mat):
+    """The rows of a dense matrix as sparse vectors."""
+    return [{j: x for j, x in enumerate(row) if x} for row in mat]
+
+
+def _columns(mat):
+    """The columns of a dense matrix as sparse vectors."""
+    return _vectors(zip(*mat))
+
+
+def _check_against_dense(c):
+    """Sparse boundaries equal the dense oracle column by column, and their
+    Smith forms equal the dense Smith forms."""
+    cx = boundary_matrices(c)
+    dense = _dense_boundaries(c)
+    assert set(cx.boundaries) == set(dense)
+    for k, mat in dense.items():
+        assert cx.boundary(k) == _columns(mat)
+        assert smith_normal_form(cx.boundary(k)) == _dense_snf(mat)
+    return cx
+
+
 def test_boundary_matrices():
     point = SimplicialComplex(1, [(0,)])
     cx = boundary_matrices(point)
     assert cx.boundaries == {}
     edge = SimplicialComplex(2, [(0, 1)])
     cx = boundary_matrices(edge)
-    assert cx.boundary(1) == [[-1], [1]]
+    assert cx.boundary(1) == [{0: -1, 1: 1}]
     triangle = SimplicialComplex(3, [(0, 1), (0, 2), (1, 2)])
     b1 = boundary_matrices(triangle).boundary(1)
-    assert all(sum(col) == 0 for col in zip(*b1))
+    assert all(sum(col.values()) == 0 for col in b1)
     _, rank = smith_normal_form(b1)
     assert rank == 2
+    for c in (point, edge, triangle, SimplicialComplex(4, [(0, 1, 2, 3)])):
+        _check_against_dense(c)
 
 
 def test_boundary_squares_to_zero():
@@ -33,7 +75,7 @@ def test_boundary_squares_to_zero():
     cx = boundary_matrices(filled)  # checks d(d(x)) = 0 internally
     assert set(cx.boundaries) == {1, 2}
     # flipping one sign of d_2 breaks d_1 d_2 = 0 and must be caught
-    bad = {k: [list(row) for row in m] for k, m in cx.boundaries.items()}
+    bad = {k: [dict(col) for col in cols] for k, cols in cx.boundaries.items()}
     bad[2][0][0] = -bad[2][0][0]
     assert bad[2][0][0] != 0
     with pytest.raises(BoundaryError, match="boundary of boundary"):
@@ -42,37 +84,42 @@ def test_boundary_squares_to_zero():
 
 
 def test_smith_normal_form():
-    assert smith_normal_form([[1, 0], [0, 1]]) == ([1, 1], 2)
-    assert smith_normal_form([[2, 0], [0, 4]]) == ([2, 4], 2)
-    assert smith_normal_form([[2, 4], [6, 8]]) == ([2, 4], 2)
-    assert smith_normal_form([[0, 0], [0, 0]]) == ([], 0)
-    assert smith_normal_form([]) == ([], 0)
-    diag, rank = smith_normal_form([[6, 0], [0, 10]])
+    def snf(mat):
+        out = smith_normal_form(_vectors(mat))
+        assert smith_normal_form(_columns(mat)) == out
+        return out
+    assert snf([[1, 0], [0, 1]]) == ([1, 1], 2)
+    assert snf([[2, 0], [0, 4]]) == ([2, 4], 2)
+    assert snf([[2, 4], [6, 8]]) == ([2, 4], 2)
+    assert snf([[0, 0], [0, 0]]) == ([], 0)
+    assert snf([]) == ([], 0)
+    diag, rank = snf([[6, 0], [0, 10]])
     assert diag == [2, 30] and rank == 2  # divisibility chain enforced
     # invariant factors divide in order, random-ish integer matrices
     mats = [[[3, 1, 4], [1, 5, 9], [2, 6, 5]],
             [[12, 8], [20, 16]],
             [[2, 3], [4, 6]]]
     for m in mats:
-        diag, rank = smith_normal_form(m)
+        diag, rank = snf(m)
         for a, b in zip(diag, diag[1:]):
             assert b % a == 0
+    # explicit zero entries in a vector are not entries
+    assert smith_normal_form([{0: 0, 1: 2}, {1: 0}]) == ([2], 1)
 
 
-def _link_boundaries(cartan, max_length):
-    """Boundary matrices of every link complex with 1 <= l(w) + l(u) <= max_length."""
+def _link_complexes(cartan, max_length):
+    """Order complexes of every link with 1 <= l(w) + l(u) <= max_length."""
     full = ParabolicContext(weyl_group(cartan), range(cartan.size)).elements()
     for w, u in itertools.product(full, repeat=2):
         if 1 <= w.length() + u.length() <= max_length:
-            cx = boundary_matrices(order_complex(link_boundary_poset(w, u), "full"))
-            yield from cx.boundaries.values()
+            yield order_complex(link_boundary_poset(w, u), "full")
 
 
 def test_snf_matches_dense_on_link_boundaries():
-    mats = [m for n in (1, 2) for m in _link_boundaries(cartan_A(n), 5)]
-    assert len(mats) > 30
-    for m in mats:
-        assert smith_normal_form(m) == _dense_snf(m)
+    complexes = [c for n in (1, 2) for c in _link_complexes(cartan_A(n), 5)]
+    assert sum(len(_dense_boundaries(c)) for c in complexes) > 30
+    for c in complexes:
+        _check_against_dense(c)
 
 
 def test_snf_matches_dense_on_A3_interval():
@@ -80,10 +127,8 @@ def test_snf_matches_dense_on_A3_interval():
     x = g.from_word((1,))
     y = g.from_word((0, 1, 2, 1, 0))
     fp = j_interval(x, y, ParabolicContext(g, {1})).to_finite_poset()
-    cx = boundary_matrices(order_complex(fp, "open-interval"))
+    cx = _check_against_dense(order_complex(fp, "open-interval"))
     assert sum(len(f) for f in cx.faces.values()) == 1130
-    for m in cx.boundaries.values():
-        assert smith_normal_form(m) == _dense_snf(m)
 
 
 @st.composite
@@ -103,8 +148,9 @@ def _int_matrices(draw):
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(_int_matrices())
 def test_snf_matches_dense_property(m):
-    diag, rank = smith_normal_form(m)
+    diag, rank = smith_normal_form(_vectors(m))
     assert (diag, rank) == _dense_snf(m)
+    assert smith_normal_form(_columns(m)) == (diag, rank)
     assert len(diag) == rank and all(d >= 1 for d in diag)
     assert all(b % a == 0 for a, b in zip(diag, diag[1:]))
 
@@ -118,11 +164,11 @@ def test_snf_matches_sympy():
         r, c = rng.randint(1, 6), rng.randint(1, 6)
         mats.append([[rng.choice((0, 0, 1, -1, 2, -3, 4, 6)) for _ in range(c)]
                      for _ in range(r)])
-    mats += list(_link_boundaries(cartan_A(1), 3))
+    mats += [m for c in _link_complexes(cartan_A(1), 3) for m in _dense_boundaries(c).values()]
     for m in mats:
         expected = [abs(int(d)) for d in normalforms.invariant_factors(Matrix(m), domain=ZZ)
                     if d != 0]
-        assert smith_normal_form(m) == (expected, len(expected))
+        assert smith_normal_form(_vectors(m)) == (expected, len(expected))
 
 
 def test_reduced_homology_spheres():

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistflag import (CartanMatrix, FinitePoset, MissingReflection, NonReducedWord,
                        ParabolicContext, SimplicialComplex,
@@ -284,6 +286,17 @@ def test_simplicial_complex_json():
     # facets absorb contained faces
     sc2 = SimplicialComplex(3, [(0, 1), (0, 1, 2)])
     assert sc2.facets == [(0, 1, 2)]
+    # duplicates collapse; the empty facet survives only on its own
+    assert SimplicialComplex(3, [(2, 1), (1, 2, 2), ()]).facets == [(1, 2)]
+    assert SimplicialComplex(3, [(), ()]).facets == [()]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.lists(st.integers(0, 5), max_size=5), max_size=9))
+def test_facet_filter_matches_quadratic(quadratic_maximal_facets, facets):
+    """Unsorted facets with repeated vertices, duplicates, contained and
+    empty facets keep exactly the facets, in the order, of the quadratic filter."""
+    assert SimplicialComplex(6, facets).facets == quadratic_maximal_facets(facets)
 
 
 # -- elimination and conjugation oracles for the root-coordinate certificate --

@@ -1,13 +1,15 @@
 import itertools
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from test_weyl import _gcm
 
 from twistflag import (AmbiguousMinimum, IncomparablePair, NotComparable,
                        NotLeq, ParabolicContext, bruhat_leq, cartan_A,
                        cartan_B2, cartan_affine_A1, circ_lJ,
                        demazure_max_inverse, demazure_min, j_interval, j_leq,
                        j_length, minimal_c, mr_positive_subexpression)
-from twistflag.weyl import weyl_group
+from twistflag.weyl import WeylGroup, weyl_group
 
 
 @pytest.fixture
@@ -68,6 +70,26 @@ def test_j_leq_partial_order_all_finite_rank2():
                     assert rel[(a, c)]
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_gcm())
+def test_j_leq_axioms_property(cartan):
+    """On a ball of a random symmetrizable group of rank <= 3 (finite, affine
+    or indefinite) and for every J, <=J is reflexive, antisymmetric and
+    transitive, and <=J for J empty is the Bruhat order."""
+    g = WeylGroup(cartan)
+    els = g.ball(5)
+    for J in all_J(g):
+        below = {a: {b for b in els if j_leq(b, a, J)} for a in els}
+        for a in els:
+            assert a in below[a]
+            for b in below[a]:
+                assert b is a or a not in below[b]
+                assert below[b] <= below[a]
+            if not J.J:
+                assert below[a] == {b for b in els if bruhat_leq(b, a)}
+
+
 def test_finite_type_translation():
     """v <=J w iff v*w_{J,0} <= w*w_{J,0} when W_J is finite."""
     for cartan in (cartan_A(2), cartan_B2()):
@@ -82,7 +104,7 @@ def test_finite_type_translation():
 
 def test_j_leq_affine_samples():
     g = weyl_group(cartan_affine_A1())
-    els = g.ball(4)
+    els = g.ball(5)
     for J in all_J(g):
         for a in els:
             assert j_leq(a, a, J)
