@@ -8,6 +8,7 @@ and the acceptance suite both drive these, at different scales.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from typing import Optional
 
 from .cartan import CartanMatrix, cartan_A
@@ -220,7 +221,7 @@ def battery_tnn(n: int, seed: int, count: int = 100) -> list:
         i = rng.integer(0, n - 2)
         col = [m.rows[r][i] for r in range(n)]
         nxt = [m.rows[r][i + 1] for r in range(n)]
-        scale = max((abs(b) / a for a, b in zip(col, nxt) if a != 0), default=1)
+        scale = max((Fraction(abs(b), a) for a, b in zip(col, nxt) if a != 0), default=1)
         adv = m * pin.x(i, -(scale + 1))
         if tnn_test(pin, adv):
             bad_neg += 1

@@ -13,11 +13,11 @@ from __future__ import annotations
 import zlib
 from fractions import Fraction
 from random import Random
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .cartan import cartan_A
-from .errors import NonReducedWord, NotLeq, PatternViolation, StratumMismatch
-from .ratmat import RatMatrix, unipotent_lu, unipotent_ul
+from .errors import DecompositionFails, NonReducedWord, NotLeq, PatternViolation, StratumMismatch
+from .ratmat import RatMatrix, _frac_str, ldu, matrix_to_json, unipotent_lu, unipotent_ul
 from .twisted import j_leq, j_length, minimal_c, mr_positive_subexpression
 from .weyl import DEFAULT_BUDGET, ParabolicContext, WeylElement, weyl_group
 
@@ -27,6 +27,7 @@ class PinnedGroup:
     alpha_i^vee(c) = diag(.., c, c^{-1}, ..) and s_i-dot = x_i(1) y_i(-1) x_i(1).
 
     Node i (0-indexed, type A_{n-1}) touches matrix slots i and i+1.
+    Parameters must be exact: an int or a Fraction, never a float.
     """
 
     def __init__(self, n: int, allow_large: bool = False, budget: int = DEFAULT_BUDGET):
@@ -39,23 +40,28 @@ class PinnedGroup:
         self.weyl = weyl_group(self.cartan, budget)
         self._lift_cache: dict = {}
         self._perm_cache: dict = {}
+        # s_i-dot = x_i(1) y_i(-1) x_i(1): rows i, i+1 of the identity become e_{i+1}, -e_i
+        eye = RatMatrix.identity(n).rows
+        self._simple_lifts = [
+            RatMatrix(eye[:i] + (eye[i + 1], tuple(-x for x in eye[i])) + eye[i + 2:])
+            for i in range(n - 1)]
 
     # -- generators ---------------------------------------------------------
 
     def x(self, i: int, a) -> RatMatrix:
-        self._check_node(i)
+        self._check_args(i, a)
         rows = [[1 if r == c else 0 for c in range(self.n)] for r in range(self.n)]
         rows[i][i + 1] = a
         return RatMatrix(rows)
 
     def y(self, i: int, a) -> RatMatrix:
-        self._check_node(i)
+        self._check_args(i, a)
         rows = [[1 if r == c else 0 for c in range(self.n)] for r in range(self.n)]
         rows[i + 1][i] = a
         return RatMatrix(rows)
 
     def cochar(self, i: int, c) -> RatMatrix:
-        self._check_node(i)
+        self._check_args(i, c)
         if c == 0:
             raise ValueError("torus parameter must be nonzero")
         rows = [[0] * self.n for _ in range(self.n)]
@@ -65,12 +71,15 @@ class PinnedGroup:
         rows[i + 1][i + 1] = Fraction(1) / Fraction(c)
         return RatMatrix(rows)
 
-    def _check_node(self, i: int):
+    def _check_args(self, i: int, value=0):
         if not 0 <= i < self.n - 1:
             raise IndexError(f"node {i} out of range for SL_{self.n}")
+        if not isinstance(value, (int, Fraction)):
+            raise ValueError(f"parameter {value!r} is not exact: use an int or a Fraction")
 
     def lift_simple(self, i: int) -> RatMatrix:
-        return self.x(i, 1) * self.y(i, -1) * self.x(i, 1)
+        self._check_args(i)
+        return self._simple_lifts[i]
 
     def lift(self, w) -> RatMatrix:
         """The lift along a reduced word; independent of the word chosen."""
@@ -87,17 +96,6 @@ class PinnedGroup:
                 got = got * self.lift_simple(i)
             self._lift_cache[word] = got
         return got
-
-    def pin_generator(self, kind: str, i: Optional[int], value) -> RatMatrix:
-        if kind == "x":
-            return self.x(i, value)
-        if kind == "y":
-            return self.y(i, value)
-        if kind == "cochar":
-            return self.cochar(i, value)
-        if kind == "lift":
-            return self.lift(value)
-        raise ValueError(f"unknown generator kind {kind!r}")
 
     # -- permutations ---------------------------------------------------------
 
@@ -237,27 +235,33 @@ def _juminus_positions(pin: PinnedGroup, J: ParabolicContext) -> set:
 
 
 def in_juminus(pin: PinnedGroup, m: RatMatrix, J: ParabolicContext) -> bool:
-    allowed = _juminus_positions(pin, J)
-    for i in range(pin.n):
-        for k in range(pin.n):
-            if i == k:
-                if m.rows[i][k] != 1:
-                    return False
-            elif m.rows[i][k] != 0 and (i, k) not in allowed:
-                return False
-    return True
+    allowed = _juminus_positions(pin, J)  # never on the diagonal, which must be 1
+    return all(x == (i == k) or (i, k) in allowed
+               for i, row in enumerate(m.rows) for k, x in enumerate(row))
+
+
+def _big_cell_transport(pin: PinnedGroup, g: RatMatrix, r: WeylElement,
+                        J: ParabolicContext) -> tuple:
+    """(p, p^{-1}, L): p = r-dot w-dot_{J,0} and L the LDU lower factor of
+    p^{-1} g w-dot_{J,0}, which fails when g is outside the big cell at r."""
+    wj0 = pin.lift(J.longest())
+    p = pin.lift(r) * wj0
+    p_inv = p.inverse()
+    return p, p_inv, ldu(p_inv * g * wj0)[0]
 
 
 def big_cell_test(pin: PinnedGroup, g: RatMatrix, r: WeylElement,
                   J: ParabolicContext) -> bool:
     """Does the flag of g lie in r-dot ^JU^- ^JB^+ / ^JB^+ ?
 
-    Transported through w_{J,0} this is LU-decomposability: all leading
-    principal minors of (r-dot w-dot_{J,0})^{-1} g w-dot_{J,0} nonzero.
+    Transported through w_{J,0} this is LU-decomposability without pivoting
+    (all leading principal minors nonzero) of (r-dot w-dot_{J,0})^{-1} g w-dot_{J,0}.
     """
-    wj0 = pin.lift(J.longest())
-    m = (pin.lift(r) * wj0).inverse() * g * wj0
-    return all(x != 0 for x in m.leading_minors())
+    try:
+        _big_cell_transport(pin, g, r, J)
+    except DecompositionFails:
+        return False
+    return True
 
 
 def tnn_test(pin: PinnedGroup, g: RatMatrix) -> bool:
@@ -288,7 +292,6 @@ class CellSample:
             raise ValueError("cell parameters must be positive")
 
     def to_json(self) -> dict:
-        from .ratmat import _frac_str, matrix_to_json
         kind = self.index[0]
         datum = [list(el.canonical_word()) if isinstance(el, WeylElement) else el
                  for el in self.index[1:]]
@@ -382,9 +385,9 @@ def sigma_factorize(pin: PinnedGroup, g: RatMatrix, r: WeylElement,
 
 
 def sigma_recompose(g2: RatMatrix, h2: RatMatrix) -> RatMatrix:
-    """The unique g with LU right factor g2 and UL right factor h2."""
-    L, U = unipotent_lu(g2 * h2.inverse())
-    return L.inverse() * g2
+    """The unique g = h1 h2 with LU right factor g2 and UL right factor h2:
+    h1 is the U factor of the unique unipotent LU of g2 h2^{-1} = g1^{-1} h1."""
+    return unipotent_lu(g2 * h2.inverse())[1] * h2
 
 
 def sigma_domain_representative(pin: PinnedGroup, m: RatMatrix, r: WeylElement,
@@ -394,14 +397,10 @@ def sigma_domain_representative(pin: PinnedGroup, m: RatMatrix, r: WeylElement,
     Requires the flag of m to lie in the big cell at r (DecompositionFails
     otherwise): write m = r-dot * u * b with u in ^JU^- and b in ^JB^+ by
     transporting through w_{J,0} and splitting off the lower-unipotent
-    part, then conjugate u back.
+    part L, then conjugate back: g = p L p^{-1} with p = r-dot w-dot_{J,0}.
     """
-    from .ratmat import ldu
-    wj0 = pin.lift(J.longest())
-    rd = pin.lift(r)
-    L, D, U = ldu(wj0.inverse() * rd.inverse() * m * wj0)
-    u = wj0 * L * wj0.inverse()
-    return rd * u * rd.inverse()
+    p, p_inv, L = _big_cell_transport(pin, m, r, J)
+    return p * L * p_inv
 
 
 # -- seeded parameter generation ----------------------------------------------

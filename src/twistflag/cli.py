@@ -74,7 +74,7 @@ def _parse_query(cartan: CartanMatrix, group, J_text: str, first: str, second: s
 
 
 def _emit(args, payload, dot: str = None):
-    if args.format == "dot" and dot is not None:
+    if args.format == "dot":  # only interval reaches here under dot, with its poset
         text = dot
     elif args.format == "text":
         text = "\n".join(_flatten_text(payload))
@@ -139,7 +139,10 @@ def cmd_interval(args) -> int:
             if "homology" in wanted:
                 payload["checks"]["sphere"] = certs["sphere"]
     except (BudgetExceeded, Inconclusive) as ex:
-        _emit(args, {"inconclusive": str(ex)})
+        if args.format == "dot":  # no poset to draw
+            print(f"inconclusive: {ex}", file=sys.stderr)
+        else:
+            _emit(args, {"inconclusive": str(ex)})
         return EXIT_INCONCLUSIVE
     _emit(args, payload, dot=poset_to_dot(fp))
     failed = any(v is False for v in payload["checks"].values())

@@ -40,7 +40,7 @@ class RatMatrix:
     __slots__ = ("rows", "n")
 
     def __init__(self, rows: Sequence[Sequence]):
-        self.rows = tuple(tuple(x for x in row) for row in rows)
+        self.rows = tuple(tuple(row) for row in rows)
         self.n = len(self.rows)
         if any(len(r) != self.n for r in self.rows):
             raise ValueError("matrix must be square")
@@ -50,23 +50,26 @@ class RatMatrix:
         return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
     def __mul__(self, other: "RatMatrix") -> "RatMatrix":
-        n = self.n
-        a, b = self.rows, other.rows
-        return RatMatrix(tuple(
-            tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-            for i in range(n)))
+        """The product; only the nonzero terms a[i][k] * b[k][j] are summed."""
+        b = [[(j, y) for j, y in enumerate(row) if y] for row in other.rows]
+        out = []
+        for row in self.rows:
+            acc = [0] * self.n
+            for k, x in enumerate(row):
+                if x:
+                    for j, y in b[k]:
+                        acc[j] += x * y
+            out.append(acc)
+        return RatMatrix(out)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, RatMatrix) and self.n == other.n and all(
-            self.rows[i][j] == other.rows[i][j]
-            for i in range(self.n) for j in range(self.n))
+        return isinstance(other, RatMatrix) and self.rows == other.rows
 
     def __hash__(self) -> int:
-        return hash(tuple(tuple(Fraction(x) for x in r) for r in self.rows))
+        return hash(self.rows)  # ints and equal Fractions hash alike
 
     def transpose(self) -> "RatMatrix":
-        return RatMatrix(tuple(tuple(self.rows[j][i] for j in range(self.n))
-                               for i in range(self.n)))
+        return RatMatrix(list(zip(*self.rows)))
 
     def det(self) -> Fraction:
         m = [[Fraction(x) for x in row] for row in self.rows]
@@ -99,15 +102,11 @@ class RatMatrix:
         return RatMatrix([row[n:] for row in reduced])
 
     def is_identity(self) -> bool:
-        return all(self.rows[i][j] == (1 if i == j else 0)
-                   for i in range(self.n) for j in range(self.n))
+        return self == RatMatrix.identity(self.n)
 
     def minor(self, row_idx: Iterable[int], col_idx: Iterable[int]) -> Fraction:
         sub = RatMatrix(tuple(tuple(self.rows[i][j] for j in col_idx) for i in row_idx))
         return sub.det()
-
-    def leading_minors(self) -> list:
-        return [self.minor(range(k + 1), range(k + 1)) for k in range(self.n)]
 
     def __repr__(self) -> str:
         return f"RatMatrix({[list(map(str, r)) for r in self.rows]})"
@@ -135,14 +134,12 @@ def ldu(m: RatMatrix):
 
 
 def udl(m: RatMatrix):
-    """m = U * D * L with U upper-unitriangular, L lower-unitriangular."""
-    n = m.n
-    rev = RatMatrix(tuple(tuple(1 if i + j == n - 1 else 0 for j in range(n))
-                          for i in range(n)))
-    L1, D1, U1 = ldu(rev * m * rev)
-    U = rev * L1 * rev
-    L = rev * U1 * rev
-    return U, list(reversed(D1)), L
+    """m = U * D * L with U upper-unitriangular, L lower-unitriangular: the
+    LDU factors of m with rows and columns reversed, each reversed back."""
+    def rev(a):
+        return RatMatrix([row[::-1] for row in a.rows[::-1]])
+    L1, D1, U1 = ldu(rev(m))
+    return rev(L1), D1[::-1], rev(U1)
 
 
 def unipotent_lu(m: RatMatrix):

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistflag import (DecompositionFails, NotComparable, ParabolicContext,
                        ParamSampler, PatternViolation, PinnedGroup, RatMatrix,
@@ -12,8 +14,21 @@ from twistflag import (DecompositionFails, NotComparable, ParabolicContext,
                        richardson_stratum, sample_mr, sample_twisted_cell,
                        sigma_factorize, sigma_recompose, tnn_test,
                        twisted_stratum)
+from twistflag.batteries import all_subsets, twisted_pairs
 from twistflag.cells import sigma_domain_representative
 from twistflag.ratmat import ldu, udl, unipotent_lu, unipotent_ul
+
+
+def _dense_product(a, b):
+    """Oracle for RatMatrix.__mul__: the full triple sum, zero terms included."""
+    n = a.n
+    return RatMatrix([[sum(a.rows[i][k] * b.rows[k][j] for k in range(n)) for j in range(n)]
+                      for i in range(n)])
+
+
+def _leading_minors(m):
+    """Oracle for big_cell_test: the leading principal minors by determinants."""
+    return [m.minor(range(k + 1), range(k + 1)) for k in range(m.n)]
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +53,7 @@ def test_generators(pin2):
     t = pin2.cochar(0, 5)
     assert t.rows == ((5, 0), (0, Fraction(1, 5)))
     assert pin2.lift_simple(0).rows == ((0, 1), (-1, 0))
-    assert pin2.pin_generator("lift", None, (0,)).rows == ((0, 1), (-1, 0))
+    assert pin2.lift((0,)).rows == ((0, 1), (-1, 0))
     for m in (pin2.x(0, a), pin2.y(0, a), t, pin2.lift_simple(0)):
         assert m.det() == 1
 
@@ -65,7 +80,7 @@ def test_ratmat_basics():
         RatMatrix([[1, 2], [2, 4]]).inverse()
     assert m.transpose().rows == ((1, 3), (2, 4))
     assert m.minor([0], [1]) == 2
-    assert m.leading_minors() == [1, -2]
+    assert _leading_minors(m) == [1, -2]
 
 
 def test_lu_ul():
@@ -363,3 +378,123 @@ def test_size_budget():
     pin6 = PinnedGroup(6, allow_large=True)
     with pytest.raises(ValueError):
         tnn_test(pin6, RatMatrix.identity(6))
+
+
+def test_generators_refuse_floats(pin2, pin3):
+    """Parameters are exact: a float is refused, not stored as an entry."""
+    for make in (pin2.x, pin2.y, pin2.cochar):
+        with pytest.raises(ValueError, match="not exact"):
+            make(0, 0.25)
+        assert make(0, Fraction(1, 4)) == make(0, Fraction(2, 8))
+    g = pin3.weyl
+    w0 = g.from_word((0, 1, 0))
+    J = ParabolicContext(g, {1})
+    with pytest.raises(ValueError, match="not exact"):
+        sample_twisted_cell(pin3, g.identity, w0, J, [0.5])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_lift_simple_matches_generators(n):
+    pin = PinnedGroup(n)
+    for i in range(n - 1):
+        ref = _dense_product(_dense_product(pin.x(i, 1), pin.y(i, -1)), pin.x(i, 1))
+        assert pin.lift_simple(i) == ref
+        assert pin.lift_simple(i) is pin.lift_simple(i)
+    with pytest.raises(IndexError):
+        pin.lift_simple(n - 1)
+
+
+_ENTRIES = st.one_of(st.just(0), st.integers(-6, 6),
+                     st.fractions(min_value=-4, max_value=4, max_denominator=6))
+
+
+@st.composite
+def _operand(draw, n):
+    """A dense, monomial (signed permutation times a scalar) or elementary
+    n x n matrix over ints and Fractions, some of its rows maybe zeroed."""
+    kind = draw(st.sampled_from(("dense", "monomial", "elementary")))
+    if kind == "dense":
+        rows = [[draw(_ENTRIES) for _ in range(n)] for _ in range(n)]
+    elif kind == "monomial":
+        perm = draw(st.permutations(range(n)))
+        scale = draw(st.sampled_from((1, -1, Fraction(1), Fraction(-3, 2))))
+        rows = [[scale if j == perm[i] else 0 for j in range(n)] for i in range(n)]
+    else:
+        i, j = draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                    .filter(lambda ij: ij[0] != ij[1]))
+        rows = [[int(r == c) for c in range(n)] for r in range(n)]
+        rows[i][j] = draw(_ENTRIES)
+    for i in draw(st.sets(st.integers(0, n - 1), max_size=2)):
+        rows[i] = [0] * n
+    return RatMatrix(rows)
+
+
+_PAIRS = st.integers(2, 5).flatmap(lambda n: st.tuples(_operand(n), _operand(n)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_PAIRS)
+def test_product_matches_dense(pair):
+    a, b = pair
+    got, ref = a * b, _dense_product(a, b)
+    # skipped zero terms leave int entries where the dense sum has Fractions
+    assert got == ref and hash(got) == hash(ref)
+    assert all(isinstance(x, (int, Fraction)) for row in got.rows for x in row)
+
+
+def _udl_by_reversal_matrix(m):
+    """Oracle for udl: conjugate by the reversal permutation matrix."""
+    n = m.n
+    rev = RatMatrix([[int(i + j == n - 1) for j in range(n)] for i in range(n)])
+    L1, D1, U1 = ldu(rev * m * rev)
+    return rev * L1 * rev, list(reversed(D1)), rev * U1 * rev
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_PAIRS)
+def test_udl_matches_reversal_matrix(pair):
+    m = pair[0] * pair[1]
+    try:
+        ref = _udl_by_reversal_matrix(m)
+    except DecompositionFails:
+        with pytest.raises(DecompositionFails):
+            udl(m)
+        return
+    U, D, L = udl(m)
+    assert (U, D, L) == ref
+    diag = RatMatrix([[D[i] if i == j else 0 for j in range(m.n)] for i in range(m.n)])
+    assert U * diag * L == m
+
+
+def test_big_cell_and_sigma_match_oracles(pin3):
+    """SL3, every J, every pair with J-length difference <= 2, every r in W:
+    big_cell_test agrees with the leading minors of the transported matrix,
+    and for r between v and w the domain representative and the
+    recomposition agree with their four-inverse and L^-1 g2 forms."""
+    g = pin3.weyl
+    els = ParabolicContext(g, range(g.n)).elements()
+    sampler = ParamSampler(17)
+    seen = set()
+    for J_set in all_subsets(g.n):
+        J = ParabolicContext(g, J_set)
+        wj0 = pin3.lift(J.longest())
+        for v, w in twisted_pairs(g, J, els, 2):
+            dim = j_length(w, J) - j_length(v, J)
+            child = sampler.child(tuple(sorted(J_set)), g.canonical_word(v),
+                                  g.canonical_word(w))
+            m = sample_twisted_cell(pin3, v, w, J, child.integers(dim)).matrix
+            for r in els:
+                rd = pin3.lift(r)
+                inside = all(x != 0 for x in _leading_minors(
+                    (rd * wj0).inverse() * m * wj0))
+                assert big_cell_test(pin3, m, r, J) == inside
+                seen.add(inside)
+                if not (inside and j_leq(v, r, J) and j_leq(r, w, J)):
+                    continue
+                L = ldu(wj0.inverse() * rd.inverse() * m * wj0)[0]
+                gmat = sigma_domain_representative(pin3, m, r, J)
+                assert gmat == rd * (wj0 * L * wj0.inverse()) * rd.inverse()
+                g2, h2 = sigma_factorize(pin3, gmat, r, J)
+                L2 = unipotent_lu(g2 * h2.inverse())[0]
+                assert sigma_recompose(g2, h2) == L2.inverse() * g2 == gmat
+    assert seen == {True, False}

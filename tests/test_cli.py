@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -100,6 +101,20 @@ def test_interval_inconclusive_budget(capsys, tmp_path):
                        "interval", "", "1 2 1 2")
     assert code == 3
     assert "inconclusive" in json.loads(out)
+
+
+def test_interval_inconclusive_dot(capsys, tmp_path):
+    """An inconclusive interval has no poset to draw: under --format dot it
+    says so on stderr and leaves stdout and --out empty."""
+    cfg = tmp_path / "affine.json"
+    cfg.write_text(json.dumps({"cartan": [[2, -2], [-2, 2]], "labels": ["1", "2"]}))
+    target = tmp_path / "report.dot"
+    for extra in ([], ["--out", str(target)]):
+        code, out, err = run(capsys, "--config", str(cfg), "--budget-elems", "4",
+                             "--format", "dot", *extra, "interval", "", "1 2 1 2")
+        assert code == 3 and out == ""
+        assert err == "inconclusive: ball enumeration exceeded budget of 4 elements\n"
+    assert not target.exists()
 
 
 def test_config_file_and_out(capsys, tmp_path):
@@ -225,6 +240,23 @@ def test_sample_verb(capsys, tmp_path):
     cfg.write_text(json.dumps({"cartan": [[2, -2], [-1, 2]], "labels": ["a", "b"]}))
     code, out, err = run(capsys, "--config", str(cfg), "sample", "a", "b a")
     assert code == 4 and out == "" and "type A" in err
+
+
+def test_sample_output_bytes_pinned(capsys, tmp_path):
+    """The sampled matrices themselves, byte for byte: sha256 of the stdout
+    of two seeded sample queries (A2 by default, and an A3 config)."""
+    cfg = tmp_path / "a3.json"
+    cfg.write_text(json.dumps({"cartan": [[2, -1, 0], [-1, 2, -1], [0, -1, 2]],
+                               "labels": ["1", "2", "3"]}))
+    for argv, digest in (
+            (["sample", "2", "1", "--J", "2", "--count", "2", "--seed", "3"],
+             "f3484fcdf02096ad0106c8afd97a56c5975f5fc19aa138a6df01c58685d41eaf"),
+            (["--config", str(cfg), "sample", "", "1 2 3", "--J", "1,2",
+              "--count", "3", "--seed", "5"],
+             "04b82dc23458d2225a7d5b9c81896fa3cccb021ca8062845fa58d86c84d647e6")):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
 def test_sample_negative_count_is_usage_error(capsys):

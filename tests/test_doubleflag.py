@@ -182,6 +182,15 @@ def test_z_sample_examples():
         z_sample(pin, s, e, s, [1])
 
 
+def test_z_sample_refuses_float_parameters():
+    """A float parameter is refused, in either Marsh-Rietsch factor."""
+    pin = PinnedGroup(2)
+    s = pin.weyl.simple(0)
+    for params in ([3, 0.5], [0.5, 4]):
+        with pytest.raises(ValueError, match="not exact"):
+            z_sample(pin, s, pin.weyl.identity, s, params)
+
+
 def test_z_sample_injectivity():
     """Distinct parameter vectors give distinct pairs (g1, g2 B^-)."""
     import itertools as it
