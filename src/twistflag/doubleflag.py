@@ -128,13 +128,11 @@ def q_interval_hat(top: TripleIndex) -> FinitePoset:
     members.sort(key=lambda t: (t.rank(), t.key()))
     keys = [ZERO_HAT] + [t.key() for t in members]
     ranks = [0] + [t.rank() for t in members]
-    covers = set()
-    for i, a in enumerate(members):
-        if a.rank() == 1:
-            covers.add((0, 1 + i))
-        for j, b in enumerate(members):
-            if b.rank() - a.rank() == 1 and q_leq(a, b):
-                covers.add((1 + i, 1 + j))
+    covers = {(0, i) for i, r in enumerate(ranks) if r == 1}
+    for i, a in enumerate(members, 1):
+        for j, b in enumerate(members, 1):
+            if ranks[j] - ranks[i] == 1 and q_leq(a, b):
+                covers.add((i, j))
     return FinitePoset(keys, covers, ranks)
 
 

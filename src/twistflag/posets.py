@@ -226,27 +226,53 @@ def _in_open_cone(beta, b1, b2):
     return all(xn * b1[k] + yn * b2[k] == beta[k] * det for k in range(n))
 
 
-def _dihedral_roots(t1: WeylElement, t2: WeylElement, b1: tuple, b2: tuple,
-                    max_count: int) -> dict:
-    """Roots of the reflections of <t1,t2>, in breadth-first order.
+def _plane(b1: tuple, b2: tuple) -> tuple:
+    """The plane of two independent roots: the wedge b1 ^ b2 (its 2x2
+    minors), divided by their gcd, with the first nonzero entry positive."""
+    n = len(b1)
+    wedge = [b1[p] * b2[q] - b1[q] * b2[p] for p in range(n) for q in range(p + 1, n)]
+    g = math.gcd(*wedge)
+    if next(x for x in wedge if x) < 0:
+        g = -g
+    return tuple(x // g for x in wedge)
 
-    The reflections are the conjugation orbit of {t1, t2} under
-    rot = t1*t2, and rot s_beta rot^-1 = s_rot(beta), so the orbit is
-    walked on positive root vectors.  Each root maps to (seed, k) with
-    seed in (t1, t2) and root = +-rot^k(root of seed).  The walk stops
-    once more than ``max_count`` roots are known (an infinite dihedral
-    pair never runs dry).
+
+def _dihedral_walk(t1: WeylElement, t2: WeylElement, b1: tuple, b2: tuple,
+                   max_count: int) -> dict:
+    """Roots of the reflections of <t1,t2> in plane coordinates, breadth first.
+
+    A root x*b1 + y*b2 is the pair (x, y); t1 and t2 act as
+    t1(x, y) = (-x - a*y, y) and t2(x, y) = (x, -b*x - y), with a and b
+    read off t1(b2) = b2 - a*b1 and t2(b1) = b1 - b*b2.  The reflections
+    are the conjugation orbit of {t1, t2} under rot = t1*t2, and
+    rot s_beta rot^-1 = s_rot(beta), so the orbit is walked on positive
+    roots (the sign of x*sum(b1) + y*sum(b2) is the sign of the root).
+    Each root maps to (seed, k) with seed in (t1, t2) and
+    root = +-rot^k(root of seed).  The walk stops once more than
+    ``max_count`` roots are known (an infinite dihedral pair never runs dry).
     """
-    rot = t1 * t2
-    rotinv = t2 * t1
-    seen = {b1: (t1, 0), b2: (t2, 0)}
-    frontier = [b1, b2]
+    p = next(k for k, x in enumerate(b1) if x)
+    q = next(k for k, x in enumerate(b2) if x)
+    a = (b2[p] - t1.act(b2)[p]) // b1[p]
+    b = (b1[q] - t2.act(b1)[q]) // b2[q]
+    s1, s2 = sum(b1), sum(b2)
+
+    def r1(x, y):
+        return -x - a * y, y
+
+    def r2(x, y):
+        return x, -b * x - y
+
+    def positive(x, y):
+        return (x, y) if x * s1 + y * s2 > 0 else (-x, -y)
+
+    seen = {(1, 0): (t1, 0), (0, 1): (t2, 0)}
+    frontier = [(1, 0), (0, 1)]
     while frontier and len(seen) <= max_count:
         nxt = []
-        for beta in frontier:
-            seed, k = seen[beta]
-            for r, step in ((rot, 1), (rotinv, -1)):
-                img = _positive(r.act(beta))
+        for x, y in frontier:
+            seed, k = seen[x, y]
+            for img, step in ((positive(*r1(*r2(x, y))), 1), (positive(*r2(*r1(x, y))), -1)):
                 if img not in seen:
                     seen[img] = (seed, k + step)
                     nxt.append(img)
@@ -265,11 +291,15 @@ def _dihedral_conjugate(t1: WeylElement, t2: WeylElement, seed: WeylElement,
 
 
 class ReflectionOrder:
-    """An ordered list of reflections, certified pairwise dihedral-consistent.
+    """An ordered list of reflections, certified plane by plane (Dyer).
 
-    ``initial_segment`` marks lists built as the inversion sequence of a
-    single reduced word; those must also be convexly closed (no unlisted
-    reflection may sit strictly between two listed ones in its plane).
+    For every listed pair, the listed roots of the plane the pair spans
+    must sit between the pair exactly when they lie in the open cone of
+    the pair's roots.  ``initial_segment`` marks lists built as the
+    inversion sequence of a single reduced word; those must also be
+    convexly closed (no unlisted reflection may sit strictly between two
+    listed ones in its plane); that search alone is bounded, by 2L + 4
+    roots of the pair's dihedral orbit.
     """
 
     def __init__(self, group: WeylGroup, reflections: Sequence[WeylElement],
@@ -304,31 +334,39 @@ class ReflectionOrder:
             raise MissingReflection(f"reflection {t!r} not covered by the order") from None
 
     def dihedral_violation(self):
-        """First pair breaking the monotone-traversal condition, or None.
+        """First pair breaking Dyer's dihedral condition, or None.
 
-        For every listed pair, every listed reflection of their dihedral
-        subgroup must sit between them exactly when its root lies in the
-        open cone of their roots; for initial segments, cone reflections
-        may not be missing from the list either.  The returned triple is
-        (t1, t2, c) with c the offending reflection.
+        The listed roots are grouped once by the plane each pair spans.
+        For each pair (i, j), i < j, in lexicographic order, every other
+        listed root of that plane, in list order, must sit strictly
+        between the pair exactly when it lies in the open cone of the
+        pair's roots; nothing is truncated.  For initial segments the
+        orbit of the pair's dihedral subgroup is then walked in plane
+        coordinates, breadth first and up to 2L + 4 roots, and a cone
+        root missing from the list is a violation too.  The returned
+        triple is (t1, t2, c) with c the offending reflection.
         """
-        L = len(self.reflections)
-        bound = 2 * L + 4
+        refs, roots = self.reflections, self._roots
+        L = len(refs)
+        pair_plane = {}
+        members: dict = {}
         for i in range(L):
-            t1, b1 = self.reflections[i], self._roots[i]
             for j in range(i + 1, L):
-                t2, b2 = self.reflections[j], self._roots[j]
-                for beta, (seed, k) in _dihedral_roots(t1, t2, b1, b2, bound).items():
-                    if beta == b1 or beta == b2:
-                        continue
-                    inside = _in_open_cone(beta, b1, b2)
-                    at = self._root_pos.get(beta)
-                    if at is not None:
-                        if (i < at < j) != inside:
-                            return (t1, t2, self.reflections[at])
-                    elif inside and self.initial_segment:
-                        # an inversion sequence is convexly closed
-                        return (t1, t2, _dihedral_conjugate(t1, t2, seed, k))
+                plane = pair_plane[i, j] = _plane(roots[i], roots[j])
+                members.setdefault(plane, set()).update((i, j))
+        members = {plane: sorted(ks) for plane, ks in members.items()}
+        bound = 2 * L + 4
+        for (i, j), plane in pair_plane.items():
+            t1, t2, b1, b2 = refs[i], refs[j], roots[i], roots[j]
+            for k in members[plane]:
+                if k != i and k != j and (i < k < j) != _in_open_cone(roots[k], b1, b2):
+                    return (t1, t2, refs[k])
+            if self.initial_segment:
+                # an inversion sequence is convexly closed
+                for (x, y), (seed, power) in _dihedral_walk(t1, t2, b1, b2, bound).items():
+                    if x > 0 and y > 0 and \
+                            tuple(x * p + y * q for p, q in zip(b1, b2)) not in self._root_pos:
+                        return (t1, t2, _dihedral_conjugate(t1, t2, seed, power))
         return None
 
 

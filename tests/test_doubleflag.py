@@ -96,6 +96,36 @@ def test_q_interval_hat_examples(tcA1):
                 assert len(fp.interval(i, j)) == 4
 
 
+def _q_interval_hat_oracle(top):
+    """The Q-hat interval with every rank recomputed inside the cover loop."""
+    members = [t for t in triples_below(top) if q_leq(t, top)]
+    members.sort(key=lambda t: (t.rank(), t.key()))
+    keys = [ZERO_HAT] + [t.key() for t in members]
+    ranks = [0] + [t.rank() for t in members]
+    covers = set()
+    for i, a in enumerate(members):
+        if a.rank() == 1:
+            covers.add((0, 1 + i))
+        for j, b in enumerate(members):
+            if b.rank() - a.rank() == 1 and q_leq(a, b):
+                covers.add((1 + i, 1 + j))
+    return keys, covers, ranks
+
+
+def test_q_interval_hat_matches_oracle(tcA1, tcA2):
+    """Every A1/A2 top with l(w) + l(u) - l(v) <= 2 keeps its keys, covers and ranks."""
+    tops = 0
+    for tc in (tcA1, tcA2):
+        full = tc.base_group.ball(3)
+        for w, v, u in itertools.product(full, repeat=3):
+            if q_member(w, v, u) and w.length() + u.length() - v.length() <= 2:
+                top = TripleIndex(w, v, u)
+                fp = q_interval_hat(top)
+                assert (fp.elements, fp.covers, fp.rank) == _q_interval_hat_oracle(top)
+                tops += 1
+    assert tops == 114
+
+
 def test_triples_enumeration_oracle(tcA1, tcA2):
     """The bounded middle-coordinate scan matches the unbounded filter."""
     gA1 = tcA1.base_group

@@ -4,8 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from test_weyl import _gcm
 
 from twistflag import (CartanMatrix, FinitePoset, MissingReflection, NonReducedWord,
                        ParabolicContext, SimplicialComplex,
@@ -16,7 +17,7 @@ from twistflag import (CartanMatrix, FinitePoset, MissingReflection, NonReducedW
                        reflection_order_from_word, shelling_order, verify_el)
 from twistflag.posets import (LEFT, RIGHT, EdgeLabel, LabeledPoset,
                               ReflectionOrder, ZERO_HAT, _dihedral_conjugate,
-                              _dihedral_roots, _in_open_cone, root_of_reflection)
+                              _dihedral_walk, _in_open_cone, _plane, root_of_reflection)
 from twistflag.ratmat import row_reduce
 from twistflag.weyl import weyl_group
 
@@ -336,21 +337,49 @@ def _oracle_dihedral_reflections(t1, t2, max_count):
     return list(seen)
 
 
-def _oracle_in_open_cone(beta, b1, b2):
-    """Solve beta = x*b1 + y*b2 over Fraction; True iff x, y > 0."""
+def _oracle_plane_coords(beta, b1, b2):
+    """(x, y) over Fraction with beta = x*b1 + y*b2, or None off their plane."""
     n = len(beta)
     for i, j in itertools.combinations(range(n), 2):
         det = b1[i] * b2[j] - b1[j] * b2[i]
         if det != 0:
             break
     else:
-        return False
+        return None
     x = Fraction(beta[i] * b2[j] - beta[j] * b2[i], det)
     y = Fraction(b1[i] * beta[j] - b1[j] * beta[i], det)
-    return x > 0 and y > 0 and all(x * b1[k] + y * b2[k] == beta[k] for k in range(n))
+    return (x, y) if all(x * b1[k] + y * b2[k] == beta[k] for k in range(n)) else None
+
+
+def _oracle_in_open_cone(beta, b1, b2):
+    """Solve beta = x*b1 + y*b2 over Fraction; True iff x, y > 0."""
+    xy = _oracle_plane_coords(beta, b1, b2)
+    return xy is not None and min(xy) > 0
 
 
 def _oracle_violation(refs, initial_segment):
+    """Per pair (i, j) in lexicographic order: every other listed root of
+    their plane, in list order, then (initial segments) the first unlisted
+    cone reflection of the bounded conjugation orbit."""
+    pos = {t: k for k, t in enumerate(refs)}
+    roots = [_oracle_root(t) for t in refs]
+    bound = 2 * len(refs) + 4
+    for i, j in itertools.combinations(range(len(refs)), 2):
+        t1, t2 = refs[i], refs[j]
+        for k, beta in enumerate(roots):
+            xy = _oracle_plane_coords(beta, roots[i], roots[j])
+            if k not in (i, j) and xy is not None and (i < k < j) != (min(xy) > 0):
+                return (t1, t2, refs[k])
+        if initial_segment:
+            for c in _oracle_dihedral_reflections(t1, t2, bound):
+                if c not in pos and _oracle_in_open_cone(_oracle_root(c), roots[i], roots[j]):
+                    return (t1, t2, c)
+    return None
+
+
+def _oracle_orbit_violation(refs, initial_segment):
+    """The earlier certificate: only reflections of the bounded conjugation
+    orbit of each pair were checked.  Every list it rejects is still rejected."""
     pos = {t: k for k, t in enumerate(refs)}
     roots = [_oracle_root(t) for t in refs]
     bound = 2 * len(refs) + 4
@@ -368,6 +397,74 @@ def _oracle_violation(refs, initial_segment):
     return None
 
 
+def _far_conjugate(g, i, j, k):
+    """(s_i s_j)^k s_i (s_i s_j)^-k: far out on the orbit when a_ij a_ji >= 4."""
+    rot = g.simple(i) * g.simple(j)
+    out = g.simple(i)
+    for _ in range(k):
+        out = rot * out * rot.inverse()
+    return out
+
+
+def _plane_lists(g, reflections):
+    """Lists whose listed coplanar roots lie off the pair's bounded orbit:
+    a commuting pair with a root of its cone (B2's e1, e2 and e1 + e2), and
+    two simple reflections of an infinite dihedral pair with a far conjugate."""
+    lists = []
+    roots = {t: _oracle_root(t) for t in reflections}
+    commuting = [(t1, t2) for t1, t2 in itertools.combinations(reflections, 2)
+                 if t1 * t2 == t2 * t1]
+    for t1, t2 in commuting:
+        for c in reflections:
+            if _oracle_in_open_cone(roots[c], roots[t1], roots[t2]):
+                for refs in ([t1, t2, c], [t1, c, t2], [c, t1, t2]):
+                    lists += [(refs, False), (refs, True)]
+                break
+        if len(lists) >= 12:
+            break
+    cartan = g.cartan.entries
+    for i, j in itertools.combinations(range(g.n), 2):
+        if cartan[i][j] * cartan[j][i] >= 4:
+            t = _far_conjugate(g, i, j, 4)
+            for refs in ([g.simple(i), g.simple(j), t], [g.simple(i), t, g.simple(j)],
+                         [t, g.simple(i), g.simple(j)]):
+                lists += [(refs, False), (refs, True)]
+            break
+    return lists
+
+
+def _compare_with_oracles(g, lists, rng):
+    """Walks, plane keys, cone verdicts and violation triples of every list
+    against the oracles; returns what the lists exercised."""
+    seen = {"pass": False, "fail": False, "mixed": False, "off walk": False}
+    for refs, initial in lists:
+        order = ReflectionOrder(g, refs, initial_segment=initial, check=False)
+        roots = [root_of_reflection(t) for t in refs]
+        bound = 2 * len(refs) + 4
+        for (t1, b1), (t2, b2) in itertools.combinations(zip(refs, roots), 2):
+            walk = _dihedral_walk(t1, t2, b1, b2, bound)
+            oracle = _oracle_dihedral_reflections(t1, t2, bound)
+            vecs = [tuple(x * p + y * q for p, q in zip(b1, b2)) for x, y in walk]
+            assert vecs == [_oracle_root(c) for c in oracle]
+            for ((x, y), (seed, k)), beta, c in zip(walk.items(), vecs, oracle):
+                assert _dihedral_conjugate(t1, t2, seed, k) == c
+                assert (x > 0 and y > 0) == _oracle_in_open_cone(beta, b1, b2)
+                assert _in_open_cone(beta, b1, b2) == _oracle_in_open_cone(beta, b1, b2)
+                seen["mixed"] |= x * y < 0
+            for beta in roots:
+                if beta not in (b1, b2):
+                    coplanar = _oracle_plane_coords(beta, b1, b2) is not None
+                    assert (_plane(b1, beta) == _plane(b1, b2)) == coplanar
+                    seen["off walk"] |= coplanar and beta not in vecs
+            for _ in range(4):
+                vec = tuple(rng.randint(-3, 3) for _ in range(g.n))
+                assert _in_open_cone(vec, b1, b2) == _oracle_in_open_cone(vec, b1, b2)
+        got = order.dihedral_violation()
+        assert got == _oracle_violation(refs, initial)
+        # strictly stronger than the orbit-only certificate
+        assert got is not None or _oracle_orbit_violation(refs, initial) is None
+        seen["pass" if got is None else "fail"] = True
+    return seen
 _ORACLE_GROUPS = {
     "A2": (cartan_A(2), 3),
     "A3": (cartan_A(3), 6),
@@ -383,8 +480,8 @@ _ORACLE_GROUPS = {
 
 @pytest.mark.parametrize("name", sorted(_ORACLE_GROUPS))
 def test_root_certificate_matches_oracles(name):
-    """Integer roots, dihedral walks, cone verdicts and violation triples
-    agree with the elimination and conjugation oracles."""
+    """Integer roots, plane walks, plane keys, cone verdicts and violation
+    triples agree with the elimination and conjugation oracles."""
     cartan, radius = _ORACLE_GROUPS[name]
     g = weyl_group(cartan)
     rng = random.Random(name)
@@ -410,23 +507,43 @@ def test_root_certificate_matches_oracles(name):
         lists.append((seq, True))
         lists.append((seq[:1] + seq[2:], True))  # a gap in an inversion sequence
         lists.append((seq[::-1], False))
+    plane_lists = _plane_lists(g, reflections)
+    lists += plane_lists
 
-    outcomes = set()
-    for refs, initial in lists:
-        order = ReflectionOrder(g, refs, initial_segment=initial, check=False)
-        bound = 2 * len(refs) + 4
-        for t1, t2 in itertools.combinations(refs, 2):
-            b1, b2 = root_of_reflection(t1), root_of_reflection(t2)
-            walk = _dihedral_roots(t1, t2, b1, b2, bound)
-            oracle = _oracle_dihedral_reflections(t1, t2, bound)
-            assert list(walk) == [_oracle_root(c) for c in oracle]
-            for (beta, (seed, k)), c in zip(walk.items(), oracle):
-                assert _dihedral_conjugate(t1, t2, seed, k) == c
-                assert _in_open_cone(beta, b1, b2) == _oracle_in_open_cone(beta, b1, b2)
-            for _ in range(4):
-                vec = tuple(rng.randint(-3, 3) for _ in range(g.n))
-                assert _in_open_cone(vec, b1, b2) == _oracle_in_open_cone(vec, b1, b2)
-        got = order.dihedral_violation()
-        assert got == _oracle_violation(refs, initial)
-        outcomes.add(got is None)
-    assert outcomes == {True, False}  # both passing and failing lists were compared
+    seen = _compare_with_oracles(g, lists, rng)
+    assert seen["pass"] and seen["fail"]  # both passing and failing lists were compared
+    assert seen["mixed"]  # some walk met a root with mixed-sign plane coordinates
+    if plane_lists:
+        assert seen["off walk"]  # a listed coplanar root the bounded walk never meets
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_gcm(), st.randoms(use_true_random=False))
+def test_root_certificate_matches_oracles_property(cartan, rng):
+    """The same comparison on random rank <= 3 groups."""
+    g = weyl_group(cartan)
+    assume(g.n >= 2)
+    reflections = sorted({w * g.simple(i) * w.inverse() for w in g.ball(3) for i in range(g.n)},
+                         key=lambda t: (t.length(), t.canonical_word()))
+    lists = []
+    for _ in range(4):
+        refs = rng.sample(reflections, min(len(reflections), rng.randint(2, 5)))
+        lists.append((refs, rng.random() < 0.5))
+    w = rng.choice(g.ball(4))
+    seq = reflection_order_from_word(g, w.canonical_word()).reflections
+    lists += [(seq, True), (seq[::-1], False)]
+    lists += _plane_lists(g, reflections)
+    _compare_with_oracles(g, lists, rng)
+
+
+def test_far_orbit_root_is_checked():
+    """A listed root in the open cone of a pair, far out on its infinite
+    dihedral orbit, must sit between the pair."""
+    g = weyl_group(CartanMatrix([[2, -3], [-3, 2]]))
+    s0, s1 = g.simple(0), g.simple(1)
+    t = _far_conjugate(g, 0, 1, 4)  # (s0 s1)^4 s0 (s0 s1)^-4
+    assert root_of_reflection(t) == (2584, 987)
+    with pytest.raises(NonReducedWord):
+        ReflectionOrder(g, [s0, s1, t])
+    ReflectionOrder(g, [s0, t, s1])
