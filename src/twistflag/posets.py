@@ -75,9 +75,6 @@ class FinitePoset:
     def leq(self, a: int, b: int) -> bool:
         return b in self._leq[a]
 
-    def index_of(self, key) -> int:
-        return self.elements.index(key)
-
     def minimal_elements(self) -> list:
         return [i for i in range(len(self.elements)) if not self.down[i]]
 
@@ -291,7 +288,8 @@ def _dihedral_conjugate(t1: WeylElement, t2: WeylElement, seed: WeylElement,
 
 
 class ReflectionOrder:
-    """An ordered list of reflections, certified plane by plane (Dyer).
+    """An ordered list of reflections checked against the pairwise
+    dihedral condition, plane by plane (after Dyer).
 
     For every listed pair, the listed roots of the plane the pair spans
     must sit between the pair exactly when they lie in the open cone of
@@ -300,6 +298,12 @@ class ReflectionOrder:
     convexly closed (no unlisted reflection may sit strictly between two
     listed ones in its plane); that search alone is bounded, by 2L + 4
     roots of the pair's dihedral orbit.
+
+    The condition is pairwise, so a list that passes need not lie in any
+    reflection order: in A3, ``[s1, s2, s3, s1s2s3s2s1]`` passes, although
+    every reflection order with ``s1`` before ``s2`` before ``s3`` puts
+    ``s1s2s3s2s1`` before ``s3``.  EL verdicts do not rest on it, because
+    ``verify_el`` checks every subinterval.
     """
 
     def __init__(self, group: WeylGroup, reflections: Sequence[WeylElement],
@@ -334,7 +338,7 @@ class ReflectionOrder:
             raise MissingReflection(f"reflection {t!r} not covered by the order") from None
 
     def dihedral_violation(self):
-        """First pair breaking Dyer's dihedral condition, or None.
+        """First pair breaking the pairwise dihedral condition, or None.
 
         The listed roots are grouped once by the plane each pair spans.
         For each pair (i, j), i < j, in lexicographic order, every other

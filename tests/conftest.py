@@ -1,6 +1,8 @@
+import sys
+
 import pytest
 
-from twistflag import SimplicialComplex
+from twistflag import SimplicialComplex, homology
 
 
 def _quadratic_maximal_facets(facets) -> list:
@@ -26,3 +28,19 @@ def _facets_match_quadratic_filter(monkeypatch):
         init(self, vertices, facets)
         assert self.facets == _quadratic_maximal_facets(facets)
     monkeypatch.setattr(SimplicialComplex, "__init__", checked)
+
+
+@pytest.fixture(autouse=True)
+def _homology_matches_snf(monkeypatch):
+    """Every complex whose homology a test computes, through any module
+    that imported ``reduced_homology``, gets the profile that the Smith
+    forms of the whole complex give."""
+    fast, snf = homology.reduced_homology, homology._snf_homology
+
+    def checked(c):
+        h = fast(c)
+        assert h == snf(homology.boundary_matrices(c))
+        return h
+    for module in list(sys.modules.values()):
+        if getattr(module, "__dict__", {}).get("reduced_homology") is fast:
+            monkeypatch.setattr(module, "reduced_homology", checked)

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistflag import (BoundaryError, ChainComplexZ, Inconclusive, ParabolicContext,
-                       SimplicialComplex, boundary_matrices, cartan_A,
-                       euler_characteristic, is_sphere_signature, j_interval,
-                       link_boundary_poset, order_complex, reduced_homology,
-                       smith_normal_form, sphere_dimension)
-from twistflag.homology import HomologyProfile, _dense_snf, homology_to_json
+from twistflag import (BoundaryError, CartanMatrix, ChainComplexZ, Inconclusive,
+                       ParabolicContext, SimplicialComplex, boundary_matrices,
+                       cartan_A, euler_characteristic, homology, is_sphere_signature,
+                       j_interval, link_boundary_poset, order_complex,
+                       reduced_homology, smith_normal_form, sphere_dimension)
+from twistflag.homology import (FACE_BUDGET, HomologyProfile, _coreduce, _dense_snf,
+                                homology_to_json)
 from twistflag.weyl import weyl_group
 
 
@@ -196,15 +197,93 @@ def test_reduced_homology_spheres():
     assert is_sphere_signature(h, -1)
 
 
-def test_projective_plane_torsion():
-    """The 6-vertex real projective plane has H_1 = Z/2."""
+@pytest.fixture
+def snf_calls(monkeypatch):
+    """The complexes that ``reduced_homology`` hands to its Smith-form
+    fallback, in order."""
+    calls = []
+    snf = homology._snf_homology
+
+    def spy(cx):
+        calls.append(cx)
+        return snf(cx)
+    monkeypatch.setattr(homology, "_snf_homology", spy)
+    return calls
+
+
+def _critical(c) -> dict:
+    return _coreduce(boundary_matrices(c))
+
+
+def test_projective_plane_torsion(snf_calls):
+    """The 6-vertex real projective plane has H_1 = Z/2.  Its critical
+    cells sit in the adjacent dimensions 1 and 2, where the Morse
+    differential is multiplication by 2, so the Smith forms decide."""
     rp2 = SimplicialComplex(6, [
         (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
         (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5)])
+    assert _critical(rp2) == {1: 1, 2: 1}
     h = reduced_homology(rp2)
+    assert len(snf_calls) == 1
     assert h.betti == {}
     assert h.torsion == {1: [2]}
     assert not is_sphere_signature(h, 1)
+
+
+def test_critical_counts(snf_calls):
+    """Critical cells in pairwise non-adjacent dimensions are the reduced
+    Betti numbers, read off with no Smith form; the (-1)-cell of the
+    augmentation is critical only for the empty complex."""
+    cases = [
+        (SimplicialComplex(0, []), {-1: 1}),
+        (SimplicialComplex(2, [(0,), (1,)]), {0: 1}),
+        (SimplicialComplex(3, [(0, 1), (0, 2), (1, 2)]), {1: 1}),
+        (SimplicialComplex(4, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]), {2: 1}),
+        (SimplicialComplex(5, [(0, 1, 2, 3, 4)]), {}),            # a simplex
+        (SimplicialComplex(4, [(0, 1, 2), (0, 2, 3)]), {}),        # a cone on a path
+        # an edge, a point and a filled triangle: reduced H_0 = Z^2
+        (SimplicialComplex(6, [(0, 1), (2,), (3, 4, 5)]), {0: 2}),
+        # a point beside the boundary of a tetrahedron: S^0 and S^2 at once
+        (SimplicialComplex(5, [(0,), (1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]),
+         {0: 1, 2: 1}),
+    ]
+    for c, critical in cases:
+        assert _critical(c) == critical
+        assert reduced_homology(c) == HomologyProfile(critical, {})
+    assert snf_calls == []
+
+
+def test_adjacent_critical_cells_fall_back(snf_calls):
+    """A point beside a circle leaves critical cells in dimensions 0 and 1;
+    their Morse differential is zero here, but only the Smith forms may
+    say so."""
+    c = SimplicialComplex(4, [(0,), (1, 2), (1, 3), (2, 3)])
+    assert _critical(c) == {0: 1, 1: 1}
+    assert reduced_homology(c) == HomologyProfile({0: 1, 1: 1}, {})
+    assert len(snf_calls) == 1
+
+
+def test_coreduction_refuses_non_unit_pair():
+    """A pair is a unimodular step only with incidence ±1; any other entry
+    raises a package error, not an assertion."""
+    cx = ChainComplexZ({0: [(0,), (1,)], 1: [(0, 1)]}, {1: [{0: 2, 1: -2}]})
+    with pytest.raises(BoundaryError, match="incidence -2"):
+        _coreduce(cx)
+
+
+def test_b3_difference_8_coreduces_to_s6():
+    """The open B3 interval (e, s1s2s1s3s2s1s3s2), J empty, J-length
+    difference 8: its 31,574 faces lie under FACE_BUDGET and coreduce to
+    one vertex, paired with the (-1)-cell, and one 6-cell.  That is an S^6
+    signature with no Smith form (which gives the same, far more slowly)."""
+    g = weyl_group(CartanMatrix([[2, -1, 0], [-1, 2, -1], [0, -2, 2]]))
+    y = g.from_word((0, 1, 0, 2, 1, 0, 2, 1))
+    fp = j_interval(g.identity, y, ParabolicContext(g, set())).to_finite_poset()
+    cx = boundary_matrices(order_complex(fp, "open-interval"))
+    assert sum(len(f) for f in cx.faces.values()) == 31_574 < FACE_BUDGET
+    critical = _coreduce(cx)
+    assert critical == {6: 1}
+    assert sphere_dimension(HomologyProfile(critical, {})) == 6
 
 
 def test_bruhat_interval_circle():
@@ -228,16 +307,13 @@ def test_euler_characteristic():
         assert alt == expected
 
 
-def test_face_budget():
-    import twistflag.homology as hm
-    old = hm.FACE_BUDGET
-    hm.FACE_BUDGET = 5
-    try:
-        big = SimplicialComplex(4, [(0, 1, 2, 3)])
-        with pytest.raises(Inconclusive):
-            boundary_matrices(big)
-    finally:
-        hm.FACE_BUDGET = old
+def test_face_budget(monkeypatch):
+    monkeypatch.setattr(homology, "FACE_BUDGET", 5)
+    big = SimplicialComplex(4, [(0, 1, 2, 3)])
+    with pytest.raises(Inconclusive):
+        boundary_matrices(big)
+    with pytest.raises(Inconclusive):
+        reduced_homology(big)
 
 
 def test_homology_json():
