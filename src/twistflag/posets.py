@@ -1,10 +1,11 @@
 """Finite posets, purity and thinness checks, reflection orders,
 EL-labelings, and order complexes.
 
-The EL machinery certifies instances: ``verify_el`` exhaustively checks
-that every subinterval has a unique increasing maximal chain which is
-also lexicographically minimal, so a passing verdict stands on its own
-and does not lean on the general shellability theorems.
+The EL machinery certifies instances: ``verify_el`` checks, by a dynamic
+program over the cover graph, that every subinterval has a unique
+increasing maximal chain which is also lexicographically minimal, so a
+passing verdict stands on its own and does not lean on the general
+shellability theorems.
 """
 
 from __future__ import annotations
@@ -514,42 +515,72 @@ class ELReport:
 
 
 def verify_el(lp: LabeledPoset) -> ELReport:
-    """Exhaustive EL check over every subinterval.
+    """EL check of every subinterval, by a dynamic program over the cover graph.
 
-    Requires, per interval: exactly one maximal chain with strictly
-    increasing labels; that chain lexicographically first among all
-    maximal chains, with ties reported as failures; and the local
-    criterion that its first edge beats every alternative first edge.
+    A maximal chain y = z0 > z1 > ... > zk = x is read from the top: its
+    label sequence is (key(z1, z0), ..., key(zk, z_{k-1})), and it is
+    increasing when that sequence strictly increases.  Each interval
+    [x, y] needs exactly one increasing chain; that chain lexicographically
+    first among all maximal chains; and its first edge strictly smaller than
+    every other first edge out of y.
+
+    For each bottom x the elements above x are visited bottom-up (by rank,
+    or in ``_topo`` order when the poset has none).  Each y keeps the
+    number of increasing chains down to x, grouped by first label, and the
+    lexicographically least label sequence.  Then (x, y) passes exactly
+    when it has one increasing chain, the least sequence strictly increases
+    (so it is that chain's, and no other chain ties it), and exactly one
+    lower cover of y carries the least first label.  Pairs are decided in
+    the order ``for x: for y in p._leq[x]``, so the first failing pair and
+    its reason are those of enumerating every chain.  No chain can tie the
+    increasing one without being increasing itself, so a tie fails the
+    count and has no reason of its own.
     """
     p = lp.poset
+    key = lp._key
     n = len(p.elements)
+    if p.rank is not None:
+        height = p.rank
+    else:
+        height = [0] * n
+        for k, v in enumerate(p._topo()):
+            height[v] = k
     for x in range(n):
-        for y in p._leq[x]:
-            if x == y:
+        above = p._leq[x]
+        rising = {x: None}   # y -> {first label: increasing chains from y to x}
+        least = {x: ()}      # y -> least label sequence from y to x
+        ties = {}            # y -> lower covers of y carrying the least first label
+        for y in sorted(above, key=height.__getitem__):
+            if y == x:
                 continue
-            chains = p.maximal_chains_down(y, x)
-            seqs = []
-            for ch in chains:
-                seqs.append((tuple(lp.label_key(ch[k + 1], ch[k]) for k in range(len(ch) - 1)), ch))
-            rising = [(s, ch) for s, ch in seqs
-                      if all(s[k] < s[k + 1] for k in range(len(s) - 1))]
-            if len(rising) != 1:
-                return ELReport(False, f"{len(rising)} increasing chains", (x, y))
-            rseq, rchain = rising[0]
-            for s, ch in seqs:
-                if ch is rchain:
+            counts: dict = {}
+            low, best = None, []
+            for z in p.down[y]:
+                if z not in above:
                     continue
-                if s <= rseq:
-                    reason = "lex tie" if s == rseq else "increasing chain not lex-minimal"
-                    return ELReport(False, reason, (x, y))
-            # local criterion: the increasing chain's first edge beats
-            # every alternative first edge out of y
-            z1 = rchain[1]
-            first = rseq[0]
-            for yp in p.down[y]:
-                if yp != z1 and p.leq(x, yp):
-                    if not first < lp.label_key(yp, y):
-                        return ELReport(False, "first edge not strictly smallest", (x, y))
+                a = key[z, y]
+                below = rising[z]
+                c = 1 if below is None else sum(k for b, k in below.items() if b > a)
+                if c:
+                    counts[a] = counts.get(a, 0) + c
+                if low is None or a < low:
+                    low, best = a, [z]
+                elif a == low:
+                    best.append(z)
+            rising[y] = counts
+            least[y] = (low,) + min(least[z] for z in best)
+            ties[y] = len(best)
+        for y in above:
+            if y == x:
+                continue
+            total = sum(rising[y].values())
+            if total != 1:
+                return ELReport(False, f"{total} increasing chains", (x, y))
+            seq = least[y]
+            if any(seq[k] >= seq[k + 1] for k in range(len(seq) - 1)):
+                return ELReport(False, "increasing chain not lex-minimal", (x, y))
+            if ties[y] != 1:
+                return ELReport(False, "first edge not strictly smallest", (x, y))
     return ELReport(True)
 
 
@@ -623,20 +654,15 @@ def order_complex(p: FinitePoset, mode: str = "full") -> SimplicialComplex:
         if len(mins) != 1 or len(maxs) != 1:
             raise ValueError("open-interval mode needs unique min and max")
         keep = [i for i in keep if i not in (mins[0], maxs[0])]
-    keep_set = set(keep)
-    renum = {v: k for k, v in enumerate(keep)}
-    # induced covers: a < b adjacent iff nothing of the subset lies between
-    sub_leq = {a: (p._leq[a] & keep_set) - {a} for a in keep}
-    induced = {}
-    for a in keep:
-        direct = set(sub_leq[a])
-        for b in sub_leq[a]:
-            direct -= sub_leq[b]
-        induced[a] = sorted(direct)
     if not keep:
         return SimplicialComplex(0, [])
+    keep_set = set(keep)
+    renum = {v: k for k, v in enumerate(keep)}
+    # dropping only the unique minimum and maximum changes no cover among
+    # the elements that stay
+    induced = {a: [b for b in p.up[a] if b in keep_set] for a in keep}
     facets = []
-    starts = [a for a in keep if not any(a in sub_leq[b] for b in keep)]
+    starts = [a for a in keep if not any(b in keep_set for b in p.down[a])]
     stack = [(a, (a,)) for a in starts]
     while stack:
         cur, path = stack.pop()

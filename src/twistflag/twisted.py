@@ -153,7 +153,10 @@ def j_interval(x: WeylElement, y: WeylElement, J: ParabolicContext) -> TwistedIn
     yj_rep, _ = J.decompose(y)
     xj_rep, xj = J.decompose(x)
     rep_bound = yj_rep.length()
-    reps = [z for z in g.ball(rep_bound) if J.in_min_coset_reps(z)]
+    reps = J._reps_cache.get(rep_bound)
+    if reps is None:
+        reps = [z for z in g.ball(rep_bound) if J.in_min_coset_reps(z)]
+        J._reps_cache[rep_bound] = reps
     part_bound_base = xj_rep.length() + xj.length()
     elements = []
     for rep in reps:
@@ -165,11 +168,11 @@ def j_interval(x: WeylElement, y: WeylElement, J: ParabolicContext) -> TwistedIn
     elements.sort(key=lambda z: (jl[z], z.canonical_word()))
     # Cover = comparable with J-length difference one; valid because every
     # interval of (W, <=J) is graded.
-    covers = set()
-    for a in elements:
-        for b in elements:
-            if jl[b] - jl[a] == 1 and j_leq(a, b, J):
-                covers.add((a, b))
+    levels: dict = {}
+    for z in elements:
+        levels.setdefault(jl[z], []).append(z)
+    covers = {(a, b) for a in elements for b in levels.get(jl[a] + 1, ())
+              if j_leq(a, b, J)}
     return TwistedIntervalPoset(x, y, J, elements, covers, jl)
 
 

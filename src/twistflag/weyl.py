@@ -362,7 +362,13 @@ def element_from_json(group: WeylGroup, data: Iterable[int]) -> WeylElement:
 
 
 class ParabolicContext:
-    """A subset J of nodes with its derived data (W_J, W^J tests)."""
+    """A subset J of nodes with its derived data (W_J, W^J tests).
+
+    Tables kept per context: W_J balls by radius (``elements``), the
+    minimal coset representatives W^J up to a length, by that length
+    (``_reps_cache``, filled by ``twisted.j_interval``), parabolic
+    decompositions, and the ``j_leq`` and ``minimal_c`` memos.
+    """
 
     def __init__(self, group: WeylGroup, J: Iterable[int]):
         J = frozenset(int(j) for j in J)
@@ -374,6 +380,7 @@ class ParabolicContext:
         self._finite = None
         self._longest = None
         self._ball_cache: dict = {}
+        self._reps_cache: dict = {}
         self._jleq_cache: dict = {}
         self._minc_cache: dict = {}
         self._decomp_cache: dict = {}

@@ -18,6 +18,9 @@ from twistflag import (CartanMatrix, FinitePoset, MissingReflection, NonReducedW
 from twistflag.posets import (LEFT, RIGHT, EdgeLabel, LabeledPoset,
                               ReflectionOrder, ZERO_HAT, _dihedral_conjugate,
                               _dihedral_walk, _in_open_cone, _plane, root_of_reflection)
+from twistflag.batteries import all_subsets, twisted_pairs
+from twistflag.doubleflag import (ThickenedCartan, TripleIndex, q_el_label,
+                                  q_interval_hat, q_member)
 from twistflag.ratmat import row_reduce
 from twistflag.weyl import weyl_group
 
@@ -190,6 +193,82 @@ def test_el_negative_control(A2):
     assert not report.ok
 
 
+def _hand_labeled(n, labeled_covers, rank=None):
+    """A poset on range(n) whose cover (a, b) carries the k-th reflection of
+    an A3 inversion order, for ``labeled_covers`` = {(a, b): k}."""
+    g = weyl_group(cartan_A(3))
+    order = reflection_order_from_word(g, (0, 1, 0, 2, 1, 0))
+    fp = FinitePoset(list(range(n)), labeled_covers, rank)
+    labels = {c: EdgeLabel(LEFT, order.reflections[k]) for c, k in labeled_covers.items()}
+    return LabeledPoset(fp, labels, order)
+
+
+def test_el_report_reasons():
+    """Each failure reason, at its interval; chains read from the top."""
+    # a chain labeled (1, 0) from the top down is not increasing
+    chain = _hand_labeled(3, {(0, 1): 0, (1, 2): 1}, rank=[0, 1, 2])
+    report = verify_el(chain)
+    assert (report.ok, report.reason, report.interval) == (False, "0 increasing chains", (0, 2))
+    # a diamond whose chains read (0, 2) and (1, 3)
+    both = _hand_labeled(4, {(1, 3): 0, (0, 1): 2, (2, 3): 1, (0, 2): 3}, rank=[0, 1, 1, 2])
+    report = verify_el(both)
+    assert (report.reason, report.interval) == ("2 increasing chains", (0, 3))
+    # (2, 3) is the one increasing chain, but (1, 0) comes first
+    late = _hand_labeled(4, {(1, 3): 2, (0, 1): 3, (2, 3): 1, (0, 2): 0}, rank=[0, 1, 1, 2])
+    report = verify_el(late)
+    assert (report.reason, report.interval) == ("increasing chain not lex-minimal", (0, 3))
+    # [0, 1] has the chains 1 > 2 > 0, reading (0, 1), and 1 > 3 > 4 > 0,
+    # reading (0, 2, 1): one increasing chain, lexicographically first, but
+    # both first edges carry label 0.  [0, 3] fails too (its one chain
+    # reads (2, 1)), but [0, 1] is checked first.
+    tied = _hand_labeled(5, {(0, 2): 1, (2, 1): 0, (0, 4): 1, (4, 3): 2, (3, 1): 0})
+    report = verify_el(tied)
+    assert (report.reason, report.interval) == ("first edge not strictly smallest", (0, 1))
+    assert verify_el(_hand_labeled(3, {(0, 1): 1, (1, 2): 0}, rank=[0, 1, 2])).ok
+
+
+def _shuffled_labels(lp, rng):
+    covers = sorted(lp.labels)
+    labels = [lp.labels[c] for c in covers]
+    rng.shuffle(labels)
+    return LabeledPoset(lp.poset, dict(zip(covers, labels)), lp.order)
+
+
+def test_verify_el_matches_exhaustive_on_shuffled_labels(verify_el_exhaustive):
+    """The twisted-interval labelings of the intervals workload (A3, B2 and
+    G2, every J, J-length difference at most 4) and the Q-hat labelings of
+    the qhat workload (A1 and A2 thickened, rank at most 2) pass; with their
+    labels shuffled among the covers, about half fail, and the dynamic
+    program gives the exhaustive checker's verdict, reason and interval
+    every time."""
+    labelings = []
+    for cartan in (cartan_A(3), cartan_B2(), cartan_G2()):
+        g = weyl_group(cartan)
+        els = g.full_context().elements()
+        order = reflection_order_from_word(g, g.canonical_word(g.full_context().longest()))
+        for J_set in all_subsets(g.n):
+            J = ParabolicContext(g, J_set)
+            for v, w in twisted_pairs(g, J, els, 4):
+                labelings.append(el_label_twisted_interval(j_interval(v, w, J), order))
+    for base in (cartan_A(1), cartan_A(2)):
+        tc = ThickenedCartan(base)
+        full = tc.base_group.full_context().elements()
+        for w, v, u in itertools.product(full, repeat=3):
+            if q_member(w, v, u) and w.length() + u.length() - v.length() <= 2:
+                labelings.append(q_el_label(q_interval_hat(TripleIndex(w, v, u)), tc))
+    rng = random.Random(5)
+    reasons = {}
+    for lp in labelings:
+        assert verify_el(lp).ok
+        for _ in range(2):
+            shuffled = _shuffled_labels(lp, rng)
+            got, want = verify_el(shuffled), verify_el_exhaustive(shuffled)
+            assert (got.ok, got.reason, got.interval) == (want.ok, want.reason, want.interval)
+            reasons[got.reason] = reasons.get(got.reason, 0) + 1
+    assert set(reasons) == {None, "0 increasing chains", "2 increasing chains",
+                            "increasing chain not lex-minimal"}
+
+
 def test_el_missing_reflection(A2):
     s1 = A2.simple(0)
     e = A2.identity
@@ -209,6 +288,50 @@ def test_order_complex():
     assert sc.vertices == 2 and sc.facets == [(0,), (1,)]
     with pytest.raises(ValueError):
         order_complex(FinitePoset([0, 1], []), "open-interval")
+
+
+def _order_complex_by_closure(p, mode):
+    """Order complex whose covers are recomputed from the order relation of
+    the kept elements: the oracle of reading them off ``p.up``."""
+    keep = list(range(len(p.elements)))
+    if mode == "open-interval":
+        keep = [i for i in keep
+                if i not in (p.minimal_elements()[0], p.maximal_elements()[0])]
+    keep_set = set(keep)
+    renum = {v: k for k, v in enumerate(keep)}
+    sub_leq = {a: (p._leq[a] & keep_set) - {a} for a in keep}
+    induced = {}
+    for a in keep:
+        direct = set(sub_leq[a])
+        for b in sub_leq[a]:
+            direct -= sub_leq[b]
+        induced[a] = sorted(direct)
+    facets = []
+    stack = [(a, (a,)) for a in keep if not any(a in sub_leq[b] for b in keep)]
+    while stack:
+        cur, path = stack.pop()
+        if not induced[cur]:
+            facets.append(tuple(renum[v] for v in path))
+        for b in induced[cur]:
+            stack.append((b, path + (b,)))
+    return SimplicialComplex(len(keep), facets)
+
+
+def test_order_complex_matches_closure_oracle():
+    """Covers read off ``p.up`` give the facets of covers recomputed from
+    the order: on every twisted interval of B2 and G2, in both modes, and
+    on an unranked poset whose cover list also holds a relation it implies."""
+    cases = [FinitePoset(list(range(4)), [(0, 1), (1, 2), (2, 3), (0, 2), (1, 3)])]
+    for cartan in (cartan_B2(), cartan_G2()):
+        g = weyl_group(cartan)
+        els = g.full_context().elements()
+        for J_set in all_subsets(g.n):
+            J = ParabolicContext(g, J_set)
+            cases += [j_interval(v, w, J).to_finite_poset()
+                       for v, w in twisted_pairs(g, J, els)]
+    for p in cases:
+        for mode in ("full", "open-interval"):
+            assert order_complex(p, mode).facets == _order_complex_by_closure(p, mode).facets
 
 
 def test_order_complex_bruhat_circle(A2):

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -6,7 +7,7 @@ from test_weyl import _gcm
 
 from twistflag import (AmbiguousMinimum, IncomparablePair, NotComparable,
                        NotLeq, ParabolicContext, bruhat_leq, cartan_A,
-                       cartan_B2, cartan_affine_A1, circ_lJ,
+                       cartan_B2, cartan_G2, cartan_affine_A1, circ_lJ,
                        demazure_max_inverse, demazure_min, j_interval, j_leq,
                        j_length, minimal_c, mr_positive_subexpression)
 from twistflag.weyl import WeylGroup, weyl_group
@@ -260,6 +261,43 @@ def test_j_interval_affine():
     # covers raise J-length by exactly one
     for a, b in iv.covers:
         assert iv.jlengths[b] - iv.jlengths[a] == 1
+
+
+def _assert_graded(iv):
+    """The covers read off the J-length grading generate <=J on the interval."""
+    closure = iv.to_finite_poset()
+    for i, a in enumerate(iv.elements):
+        for j, b in enumerate(iv.elements):
+            assert closure.leq(i, j) == j_leq(a, b, iv.J), (a, b)
+
+
+def test_j_interval_covers_generate_j_leq():
+    """Every twisted interval of A2, B2 and G2 (every J), a seeded sample of
+    those of A3, and those between elements of length at most 5 in affine
+    A1: the covers, read off adjacent J-length levels, generate <=J on the
+    interval, so the J-length grades it."""
+    for cartan in (cartan_A(2), cartan_B2(), cartan_G2()):
+        g = weyl_group(cartan)
+        els = g.full_context().elements()
+        for J in all_J(g):
+            for x in els:
+                for y in els:
+                    if j_leq(x, y, J):
+                        _assert_graded(j_interval(x, y, J))
+    g = weyl_group(cartan_A(3))
+    els = g.full_context().elements()
+    rng = random.Random(3)
+    for J in all_J(g):
+        pairs = [(x, y) for x in els for y in els if j_leq(x, y, J)]
+        for x, y in rng.sample(pairs, 40):
+            _assert_graded(j_interval(x, y, J))
+    g = weyl_group(cartan_affine_A1())
+    els = g.ball(5)
+    for J in all_J(g):
+        for x in els:
+            for y in els:
+                if j_leq(x, y, J):
+                    _assert_graded(j_interval(x, y, J))
 
 
 def test_positive_subexpression(A2):
