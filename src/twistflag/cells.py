@@ -115,6 +115,8 @@ class PinnedGroup:
         got = self._perm_cache.get(p)
         if got is not None:
             return got
+        if sorted(p) != list(range(self.n)):
+            raise ValueError(f"{p} is not a permutation of 0..{self.n - 1}")
         q = list(p)
         word = []
         while True:
@@ -246,7 +248,7 @@ def _big_cell_transport(pin: PinnedGroup, g: RatMatrix, r: WeylElement,
     p^{-1} g w-dot_{J,0}, which fails when g is outside the big cell at r."""
     wj0 = pin.lift(J.longest())
     p = pin.lift(r) * wj0
-    p_inv = p.inverse()
+    p_inv = p.transpose()  # a signed permutation matrix
     return p, p_inv, ldu(p_inv * g * wj0)[0]
 
 
@@ -367,7 +369,7 @@ def sigma_factorize(pin: PinnedGroup, g: RatMatrix, r: WeylElement,
     the conjugated root support.
     """
     rdot = pin.lift(r)
-    if not in_juminus(pin, rdot.inverse() * g * rdot, J):
+    if not in_juminus(pin, rdot.transpose() * g * rdot, J):
         raise PatternViolation("input is not in the conjugated ^JU^- domain")
     g1, g2 = unipotent_lu(g)
     h1, h2 = unipotent_ul(g)

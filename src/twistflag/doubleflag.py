@@ -20,8 +20,9 @@ from typing import Optional, Sequence
 from .cartan import CartanMatrix
 from .cells import PinnedGroup, sample_mr
 from .errors import AmbiguousMinimum, NonReducedWord, NotMember, StratumMismatch
-from .posets import (LEFT, RIGHT, EdgeLabel, FinitePoset, LabeledPoset,
-                     ReflectionOrder, ZERO_HAT, reflection_order_covering)
+from .posets import (RIGHT, EdgeLabel, FinitePoset, LabeledPoset, ReflectionOrder,
+                     ZERO_HAT, graded_poset, reflection_order_covering,
+                     two_sided_labels)
 from .twisted import demazure_min
 from .weyl import ParabolicContext, WeylElement, WeylGroup, weyl_group
 
@@ -124,30 +125,17 @@ def triples_below(top: TripleIndex) -> list:
 
 def q_interval_hat(top: TripleIndex) -> FinitePoset:
     """The interval [0-hat, top] in Q-hat; rank l(w)+l(u)-l(v)+1, 0-hat at 0."""
-    members = [t for t in triples_below(top) if q_leq(t, top)]
-    members.sort(key=lambda t: (t.rank(), t.key()))
-    keys = [ZERO_HAT] + [t.key() for t in members]
-    ranks = [0] + [t.rank() for t in members]
-    covers = {(0, i) for i, r in enumerate(ranks) if r == 1}
-    for i, a in enumerate(members, 1):
-        for j, b in enumerate(members, 1):
-            if ranks[j] - ranks[i] == 1 and q_leq(a, b):
-                covers.add((i, j))
-    return FinitePoset(keys, covers, ranks)
-
-
-def _decode_triple(group: WeylGroup, key) -> Optional[tuple]:
-    if key == ZERO_HAT:
-        return None
-    return tuple(group.from_word(wd) for wd in key)
+    return graded_poset(triples_below(top), TripleIndex.key, TripleIndex.rank, q_leq,
+                        zero_hat=True)[0]
 
 
 def q_el_label(interval: FinitePoset, tc: ThickenedCartan,
                order: Optional[ReflectionOrder] = None) -> LabeledPoset:
     """Edge labels of a Q-hat interval, pulled back through the embedding.
 
-    A cover moving u gives (u'-embedded reflection, l); a cover moving w
-    or v moves the top endpoint th(w, v) and gives (t, r); the cover out
+    Each triple is the interval [u, th(w, v)] of the thickened group, so
+    a cover moving u gives (u'-embedded reflection, l) and a cover moving
+    w or v moves the top endpoint th(w, v) and gives (t, r); the cover out
     of 0-hat takes the first label of the increasing chain of the
     embedded interval, which for a rank-one triple is
     (th(w, v) u^{-1}, r).
@@ -156,36 +144,26 @@ def q_el_label(interval: FinitePoset, tc: ThickenedCartan,
     appearing, with the finite-part reflections first.
     """
     g = tc.base_group
-    ext = tc.ext_group
-    ends = []  # per element: (th(w, v), embedded u), or None for 0-hat
+    ends = []  # per element: (embedded u, th(w, v)), or None for 0-hat
     for key in interval.elements:
-        triple = _decode_triple(g, key)
-        if triple is None:
+        if key == ZERO_HAT:
             ends.append(None)
         else:
-            w, v, u = triple
-            ends.append((tc.th(w, v), tc.embed(u)))
-    raw = {}
-    for (i, j) in interval.covers:
-        top2, u2 = ends[j]
-        if ends[i] is None:
-            t = top2 * u2.inverse()
-            if not (t * t).is_identity():
-                raise AmbiguousMinimum("0-hat cover does not yield a reflection")
-            raw[(i, j)] = (RIGHT, t)
-            continue
-        top1, u1 = ends[i]
-        if u1 is u2:
-            raw[(i, j)] = (RIGHT, top2 * top1.inverse())
-        else:
-            # a rank-one step moves only one endpoint of the embedded interval
-            if top1 is not top2:
-                raise ValueError("cover moves both endpoints")
-            raw[(i, j)] = (LEFT, u1 * u2.inverse())
+            w, v, u = (g.from_word(wd) for wd in key)
+            ends.append((tc.embed(u), tc.th(w, v)))
+
+    def from_zero(end):
+        u, top = end
+        t = top * u.inverse()
+        if not (t * t).is_identity():
+            raise AmbiguousMinimum("0-hat cover does not yield a reflection")
+        return EdgeLabel(RIGHT, t)
+
+    labels = two_sided_labels(interval, ends, from_zero)
     if order is None:
-        needed = [t for (_, t) in raw.values()]
-        order = reflection_order_covering(ext, needed, first_nodes=range(tc.base.size))
-    labels = {cover: EdgeLabel(tag, t) for cover, (tag, t) in raw.items()}
+        order = reflection_order_covering(tc.ext_group,
+                                          [lab.reflection for lab in labels.values()],
+                                          first_nodes=range(tc.base.size))
     return LabeledPoset(interval, labels, order)
 
 
@@ -231,53 +209,34 @@ def z_sample(pin: PinnedGroup, w: WeylElement, v: WeylElement, u: WeylElement,
 
 def z_closure_indices(w: WeylElement, v: WeylElement, u: WeylElement) -> set:
     """Combinatorial closure of the (w, v, u) stratum: the q_leq-down-set."""
-    top = TripleIndex(w, v, u)
-    return {t.key() for t in triples_below(top) if q_leq(t, top)}
+    return {t.key() for t in triples_below(TripleIndex(w, v, u))}
 
 
-def link_face_poset(w: WeylElement, u: WeylElement,
-                    bounded: bool = False) -> FinitePoset:
-    """Face poset {(w', u') <= (w, u), != (e, e)} of the link of identity,
-    ranked by l(w') + l(u') - 1; optionally with extra bottom and top."""
+def _link_poset(w: WeylElement, u: WeylElement, with_top: bool) -> FinitePoset:
+    """The pairs (w', u') <= (w, u) other than (e, e), less (w, u) itself
+    unless ``with_top``, ranked by l(w') + l(u') - 1."""
     g = w.group
     if w.is_identity() and u.is_identity():
         raise ValueError("the pair (e, e) has no link")
     w_down = [x for x in g.ball(w.length()) if g.bruhat_leq(x, w)]
     u_down = [x for x in g.ball(u.length()) if g.bruhat_leq(x, u)]
     pairs = [(a, b) for a in w_down for b in u_down
-             if not (a.is_identity() and b.is_identity())]
-    pairs.sort(key=lambda p: (p[0].length() + p[1].length(),
-                              p[0].canonical_word(), p[1].canonical_word()))
-    keys = [(tuple(a.canonical_word()), tuple(b.canonical_word())) for a, b in pairs]
-    ranks = [a.length() + b.length() - 1 for a, b in pairs]
-    leq = {}
-    for i, (a1, b1) in enumerate(pairs):
-        for j, (a2, b2) in enumerate(pairs):
-            leq[(i, j)] = g.bruhat_leq(a1, a2) and g.bruhat_leq(b1, b2)
-    covers = {(i, j) for (i, j), ok in leq.items()
-              if ok and ranks[j] - ranks[i] == 1}
-    if bounded:
-        n = len(keys)
-        keys = keys + [("^bot",), ("^top",)]
-        ranks = ranks + [min(ranks) - 1, max(ranks) + 1]
-        covers |= {(n, i) for i in range(n) if ranks[i] == ranks[n] + 1}
-        covers |= {(i, n + 1) for i in range(n) if ranks[i] == ranks[n + 1] - 1}
-        base = min(ranks)
-        ranks = [r - base for r in ranks]
-        return FinitePoset(keys, covers, ranks)
-    return FinitePoset(keys, covers, ranks)
+             if not (a.is_identity() and b.is_identity())
+             and (with_top or a is not w or b is not u)]
+    return graded_poset(pairs, lambda p: (p[0].canonical_word(), p[1].canonical_word()),
+                        lambda p: p[0].length() + p[1].length() - 1,
+                        lambda p, q: g.bruhat_leq(p[0], q[0]) and g.bruhat_leq(p[1], q[1]))[0]
+
+
+def link_face_poset(w: WeylElement, u: WeylElement) -> FinitePoset:
+    """Face poset {(w', u') <= (w, u), != (e, e)} of the link of identity,
+    ranked by l(w') + l(u') - 1."""
+    return _link_poset(w, u, True)
 
 
 def link_boundary_poset(w: WeylElement, u: WeylElement) -> FinitePoset:
     """The proper part {(w', u') < (w, u)} used for the sphere certificate."""
-    fp = link_face_poset(w, u)
-    top_key = (tuple(w.canonical_word()), tuple(u.canonical_word()))
-    keep = [i for i, k in enumerate(fp.elements) if k != top_key]
-    renum = {v: k for k, v in enumerate(keep)}
-    covers = {(renum[a], renum[b]) for a, b in fp.covers
-              if a in renum and b in renum}
-    return FinitePoset([fp.elements[i] for i in keep], covers,
-                       [fp.rank[i] for i in keep])
+    return _link_poset(w, u, False)
 
 
 def triple_to_json(t: TripleIndex) -> dict:

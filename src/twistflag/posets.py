@@ -491,13 +491,13 @@ class LabeledPoset:
 def el_label_twisted_interval(interval, order: ReflectionOrder) -> LabeledPoset:
     """Label each cover w1 < w2 of a twisted interval by the reflection w2*w1^{-1}."""
     fp = interval.to_finite_poset()
-    index = {el: k for k, el in enumerate(interval.elements)}
+    els = interval.elements
     labels = {}
-    for (w1, w2) in interval.covers:
-        t = w2 * w1.inverse()
+    for (i, j) in fp.covers:
+        t = els[j] * els[i].inverse()
         if not order.contains(t):
             raise MissingReflection("cover reflection missing from the supplied order")
-        labels[(index[w1], index[w2])] = EdgeLabel(LEFT, t)
+        labels[(i, j)] = EdgeLabel(LEFT, t)
     return LabeledPoset(fp, labels, order)
 
 
@@ -675,6 +675,56 @@ def order_complex(p: FinitePoset, mode: str = "full") -> SimplicialComplex:
     return SimplicialComplex(len(keep), facets)
 
 
+# -- graded interval posets ------------------------------------------------
+
+def graded_poset(items, key, rank, leq, zero_hat: bool = False) -> tuple:
+    """The poset on ``items`` graded by ``rank``, and the items in its order.
+
+    Items are sorted by (rank, key) and stored as their keys.  A cover is
+    a pair a, b with rank(b) = rank(a) + 1 and ``leq(a, b)``, tested level
+    by level; that is the cover relation only because the poset is graded
+    by ``rank``.  With ``zero_hat``, ZERO_HAT is adjoined at rank 0 below
+    the items of rank 1.  Ranks are shifted to start at 0.
+    """
+    tagged = sorted(((rank(x), key(x), x) for x in items), key=lambda t: t[:2])
+    ranks = [t[0] for t in tagged]
+    keys = [t[1] for t in tagged]
+    items = [t[2] for t in tagged]
+    level: dict = {}
+    for i, r in enumerate(ranks):
+        level.setdefault(r, []).append(i)
+    covers = [(i, j) for i, a in enumerate(items)
+              for j in level.get(ranks[i] + 1, ()) if leq(a, items[j])]
+    if zero_hat:
+        covers = [(0, j + 1) for j in level.get(1, ())] + [(i + 1, j + 1) for i, j in covers]
+        keys, ranks = [ZERO_HAT] + keys, [0] + ranks
+    base = min(ranks, default=0)
+    return FinitePoset(keys, covers, [r - base for r in ranks]), items
+
+
+def two_sided_labels(fp: FinitePoset, ends: Sequence, zero_label) -> dict:
+    """Cover labels of a poset of intervals, read off their endpoints.
+
+    ``ends[i]`` is the (bottom, top) of element i, or None at a 0-hat.  A
+    cover moving the top from t1 to t2 gets (t2 t1^-1, r), one moving the
+    bottom from b1 to b2 gets (b1 b2^-1, l), and a cover out of the 0-hat
+    gets ``zero_label(ends[j])`` for its upper element j.
+    """
+    labels = {}
+    for (i, j) in fp.covers:
+        if ends[i] is None:
+            labels[(i, j)] = zero_label(ends[j])
+            continue
+        (b1, t1), (b2, t2) = ends[i], ends[j]
+        if b1 == b2:
+            labels[(i, j)] = EdgeLabel(RIGHT, t2 * t1.inverse())
+        elif t1 == t2:
+            labels[(i, j)] = EdgeLabel(LEFT, b1 * b2.inverse())
+        else:
+            raise ValueError("cover moves both endpoints")
+    return labels
+
+
 # -- interval poset of (W, <=J) --------------------------------------------
 
 def assemble_QJ_interval(bottom_pair, top_pair, J) -> FinitePoset:
@@ -682,7 +732,9 @@ def assemble_QJ_interval(bottom_pair, top_pair, J) -> FinitePoset:
 
     ``bottom_pair`` may be None, which adjoins the extra minimum below
     all singleton intervals.  Keys are pairs of canonical words, with
-    ZERO_HAT for the adjoined minimum.
+    ZERO_HAT for the adjoined minimum.  Comparabilities are read off the
+    closure of the top pair's interval; one endpoint of a cover moves by
+    one cover of that interval and the other stays.
     """
     from .twisted import j_interval, j_leq
 
@@ -690,51 +742,26 @@ def assemble_QJ_interval(bottom_pair, top_pair, J) -> FinitePoset:
     if not j_leq(x_top, y_top, J):
         raise ValueError("top pair is not a twisted interval")
     universe = j_interval(x_top, y_top, J)
-    els = universe.elements
-    jl = universe.jlengths
-    leq = {(a, b): (a == b) or ((a, b) in universe.covers) for a in els for b in els}
-    for a in els:
-        for b in els:
-            if jl[b] > jl[a] + 1:
-                leq[(a, b)] = j_leq(a, b, J)
-    if bottom_pair is None:
-        pairs = [(a, b) for a in els for b in els if leq[(a, b)]]
-        augmented = True
+    els, jl, covers = universe.elements, universe.jlengths, universe.covers
+    up = universe.to_finite_poset()._leq
+    augmented = bottom_pair is None
+    if augmented:
+        pairs = [(a, els[j]) for i, a in enumerate(els) for j in up[i]]
     else:
         xb, yb = bottom_pair
         for rel in ((x_top, xb), (xb, yb), (yb, y_top)):
             if not j_leq(rel[0], rel[1], J):
                 raise ValueError("bottom pair is not contained in the top pair")
-        pairs = [(a, b) for a in els for b in els
-                 if leq[(a, b)] and leq[(a, xb)] and leq[(yb, b)]]
-        augmented = False
+        ix, iy = els.index(xb), els.index(yb)
+        pairs = [(a, els[j]) for i, a in enumerate(els) if ix in up[i] for j in up[iy]]
 
-    def rank(pair):
-        return jl[pair[1]] - jl[pair[0]] + (1 if augmented else 0)
+    def contained(p, q):
+        return ((p[0] == q[0] and (p[1], q[1]) in covers)
+                or (p[1] == q[1] and (q[0], p[0]) in covers))
 
-    pairs.sort(key=lambda q: (rank(q), q[0].canonical_word(), q[1].canonical_word()))
-    keys = [(tuple(a.canonical_word()), tuple(b.canonical_word())) for a, b in pairs]
-    ranks = [rank(q) for q in pairs]
-    offset = 0
-    if augmented:
-        keys = [ZERO_HAT] + keys
-        ranks = [0] + ranks
-        offset = 1
-    covers = set()
-    for i, (a1, b1) in enumerate(pairs):
-        for j, (a2, b2) in enumerate(pairs):
-            if ranks[offset + j] - ranks[offset + i] != 1:
-                continue
-            # one endpoint moves by one cover, the other stays
-            if (a1 == a2 and leq[(b1, b2)]) or (b1 == b2 and leq[(a2, a1)]):
-                covers.add((offset + i, offset + j))
-    if augmented:
-        for i, q in enumerate(pairs):
-            if ranks[offset + i] == 1:
-                covers.add((0, offset + i))
-    base = min(ranks)
-    ranks = [r - base for r in ranks]
-    return FinitePoset(keys, covers, ranks)
+    return graded_poset(pairs, lambda q: (q[0].canonical_word(), q[1].canonical_word()),
+                        lambda q: jl[q[1]] - jl[q[0]] + augmented, contained,
+                        zero_hat=augmented)[0]
 
 
 def el_label_qj_interval(fp: FinitePoset, group: WeylGroup,
@@ -744,25 +771,9 @@ def el_label_qj_interval(fp: FinitePoset, group: WeylGroup,
     Top-endpoint covers get (t, r), bottom-endpoint covers get (t, l),
     and the adjoined-minimum covers get the empty label.
     """
-    def decode(key):
-        if key == ZERO_HAT:
-            return None
-        return group.from_word(key[0]), group.from_word(key[1])
-
-    labels = {}
-    for (i, j) in fp.covers:
-        lo, hi = decode(fp.elements[i]), decode(fp.elements[j])
-        if lo is None:
-            labels[(i, j)] = EdgeLabel(BOTTOM)
-            continue
-        (a1, b1), (a2, b2) = lo, hi
-        if a1 == a2:
-            labels[(i, j)] = EdgeLabel(RIGHT, b2 * b1.inverse())
-        elif b1 == b2:
-            labels[(i, j)] = EdgeLabel(LEFT, a1 * a2.inverse())
-        else:
-            raise ValueError("cover moves both endpoints")
-    return LabeledPoset(fp, labels, order)
+    ends = [None if key == ZERO_HAT else (group.from_word(key[0]), group.from_word(key[1]))
+            for key in fp.elements]
+    return LabeledPoset(fp, two_sided_labels(fp, ends, lambda _: EdgeLabel(BOTTOM)), order)
 
 
 # -- serialization ----------------------------------------------------------

@@ -16,6 +16,7 @@ l(u) <= l(v^J u) + l(v^J) <= l(w^J) + l(v^J).
 from __future__ import annotations
 
 from .errors import AmbiguousMinimum, IncomparablePair, NotComparable, NotLeq
+from .posets import FinitePoset, graded_poset
 from .weyl import ParabolicContext, WeylElement, Word
 
 
@@ -113,30 +114,27 @@ def circ_lJ(i: int, w: WeylElement, J: ParabolicContext) -> WeylElement:
 
 
 class TwistedIntervalPoset:
-    """An interval [bottom, top] of (W, <=J), graded by J-length."""
+    """An interval [bottom, top] of (W, <=J), graded by J-length.
+
+    The FinitePoset is built once, by ``j_interval``; ``elements`` are in
+    its order and ``covers`` are its cover pairs as elements.
+    """
 
     def __init__(self, bottom: WeylElement, top: WeylElement, J: ParabolicContext,
-                 elements: list, covers: set, jlengths: dict):
+                 poset: FinitePoset, elements: list, jlengths: dict):
         self.bottom = bottom
         self.top = top
         self.J = J
         self.elements = elements
-        self.covers = covers
+        self.covers = {(elements[a], elements[b]) for a, b in poset.covers}
         self.jlengths = jlengths
-        self._poset = None
+        self._poset = poset
 
     def rank_of(self, el: WeylElement) -> int:
         return self.jlengths[el] - self.jlengths[self.bottom]
 
-    def to_finite_poset(self):
-        """The interval as a FinitePoset keyed by canonical words; built once."""
-        if self._poset is None:
-            from .posets import FinitePoset
-            keys = [tuple(el.canonical_word()) for el in self.elements]
-            index = {el: k for k, el in enumerate(self.elements)}
-            covers = {(index[a], index[b]) for a, b in self.covers}
-            rank = [self.rank_of(el) for el in self.elements]
-            self._poset = FinitePoset(keys, covers, rank)
+    def to_finite_poset(self) -> FinitePoset:
+        """The interval as a FinitePoset keyed by canonical words."""
         return self._poset
 
 
@@ -165,15 +163,11 @@ def j_interval(x: WeylElement, y: WeylElement, J: ParabolicContext) -> TwistedIn
             if j_leq(x, z, J) and j_leq(z, y, J):
                 elements.append(z)
     jl = {z: j_length(z, J) for z in elements}
-    elements.sort(key=lambda z: (jl[z], z.canonical_word()))
     # Cover = comparable with J-length difference one; valid because every
     # interval of (W, <=J) is graded.
-    levels: dict = {}
-    for z in elements:
-        levels.setdefault(jl[z], []).append(z)
-    covers = {(a, b) for a in elements for b in levels.get(jl[a] + 1, ())
-              if j_leq(a, b, J)}
-    return TwistedIntervalPoset(x, y, J, elements, covers, jl)
+    fp, elements = graded_poset(elements, WeylElement.canonical_word, jl.__getitem__,
+                                lambda a, b: j_leq(a, b, J))
+    return TwistedIntervalPoset(x, y, J, fp, elements, jl)
 
 
 def mr_positive_subexpression(v: WeylElement, word_w: Word) -> tuple:

@@ -498,3 +498,29 @@ def test_big_cell_and_sigma_match_oracles(pin3):
                 L2 = unipotent_lu(g2 * h2.inverse())[0]
                 assert sigma_recompose(g2, h2) == L2.inverse() * g2 == gmat
     assert seen == {True, False}
+
+
+def test_lift_inverses_are_transposes():
+    """lift(r) and lift(r) lift(w_{J,0}) are signed permutation matrices, so
+    their inverses are their transposes: every r and J in SL2-SL4."""
+    pairs = 0
+    for n in (2, 3, 4):
+        pin = PinnedGroup(n)
+        g = pin.weyl
+        els = ParabolicContext(g, range(g.n)).elements()
+        for J_set in all_subsets(g.n):
+            wj0 = pin.lift(ParabolicContext(g, J_set).longest())
+            for r in els:
+                for p in (pin.lift(r), pin.lift(r) * wj0):
+                    assert p.transpose() == p.inverse()
+                pairs += 1
+    assert pairs == 220
+
+
+def test_weyl_of_perm_rejects_non_permutations(pin3):
+    """A repeated entry, an entry out of range and a wrong length are each
+    refused with a ValueError, before any position lookup."""
+    for p in ((0, 0, 1), (0, 1, 5), (1, 0)):
+        with pytest.raises(ValueError, match="not a permutation"):
+            pin3.weyl_of_perm(p)
+    assert pin3.weyl_of_perm((1, 0, 2)) == pin3.weyl.simple(0)

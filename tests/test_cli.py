@@ -259,6 +259,14 @@ def test_sample_output_bytes_pinned(capsys, tmp_path):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
+def test_verify_report_pinned(capsys):
+    """The full verify report, byte for byte: sha256 of its stdout."""
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--seed", "0")
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "bfa57dc9139d2c468b5a7875a731475088544d33294adb0226c633a8ed394a80")
+
+
 def test_sample_negative_count_is_usage_error(capsys):
     code, out, err = run(capsys, "sample", "2", "1", "--J", "2", "--count", "-1")
     assert code == 4 and out == "" and err == "usage error: --count must be >= 0, got -1\n"

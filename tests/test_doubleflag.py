@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from twistflag import (NotMember, ParabolicContext, PinnedGroup, TripleIndex,
-                       bruhat_leq, cartan_A, check_pure, check_thin,
+                       bruhat_leq, cartan_A, cartan_B2, check_pure, check_thin,
                        extend_cartan, is_sphere_signature, j_leq,
                        link_boundary_poset, link_face_poset, order_complex,
                        q_el_label, q_interval_hat, q_leq, q_member,
@@ -11,7 +11,8 @@ from twistflag import (NotMember, ParabolicContext, PinnedGroup, TripleIndex,
                        z_sample)
 from twistflag.doubleflag import (ThickenedCartan, triple_from_json,
                                   triple_to_json, z_closure_indices)
-from twistflag.posets import ZERO_HAT
+from twistflag.posets import (LEFT, RIGHT, ZERO_HAT, EdgeLabel, LabeledPoset,
+                              reflection_order_covering)
 from twistflag.twisted import demazure_min
 from twistflag.weyl import weyl_group
 
@@ -112,22 +113,54 @@ def _q_interval_hat_oracle(top):
     return keys, covers, ranks
 
 
+def _q_el_label_oracle(interval, tc):
+    """Q-hat labels decoded cover by cover, with the order fitted to them."""
+    g = tc.base_group
+    ends = [None if key == ZERO_HAT else
+            (tc.th(g.from_word(key[0]), g.from_word(key[1])), tc.embed(g.from_word(key[2])))
+            for key in interval.elements]
+    raw = {}
+    for (i, j) in interval.covers:
+        top2, u2 = ends[j]
+        if ends[i] is None:
+            raw[(i, j)] = (RIGHT, top2 * u2.inverse())
+            continue
+        top1, u1 = ends[i]
+        if u1 is u2:
+            raw[(i, j)] = (RIGHT, top2 * top1.inverse())
+        else:
+            assert top1 is top2
+            raw[(i, j)] = (LEFT, u1 * u2.inverse())
+    order = reflection_order_covering(tc.ext_group, [t for (_, t) in raw.values()],
+                                      first_nodes=range(tc.base.size))
+    return {cover: EdgeLabel(tag, t) for cover, (tag, t) in raw.items()}, order
+
+
 def test_q_interval_hat_matches_oracle(tcA1, tcA2):
-    """Every A1/A2 top with l(w) + l(u) - l(v) <= 2 keeps its keys, covers and ranks."""
+    """Every A1/A2 top with l(w) + l(u) - l(v) <= 3 keeps its keys, covers
+    and ranks, its labels, its fitted order and its EL report."""
     tops = 0
     for tc in (tcA1, tcA2):
         full = tc.base_group.ball(3)
         for w, v, u in itertools.product(full, repeat=3):
-            if q_member(w, v, u) and w.length() + u.length() - v.length() <= 2:
+            if q_member(w, v, u) and w.length() + u.length() - v.length() <= 3:
                 top = TripleIndex(w, v, u)
                 fp = q_interval_hat(top)
                 assert (fp.elements, fp.covers, fp.rank) == _q_interval_hat_oracle(top)
+                lp = q_el_label(fp, tc)
+                labels, order = _q_el_label_oracle(fp, tc)
+                assert lp.labels == labels
+                assert lp.order.reflections == order.reflections
+                want = verify_el(LabeledPoset(fp, labels, order))
+                got = verify_el(lp)
+                assert (got.ok, got.reason, got.interval) == (want.ok, want.reason, want.interval)
                 tops += 1
-    assert tops == 114
+    assert tops == 149
 
 
 def test_triples_enumeration_oracle(tcA1, tcA2):
-    """The bounded middle-coordinate scan matches the unbounded filter."""
+    """The bounded middle-coordinate scan lists exactly the members of Q
+    below the top, each once."""
     gA1 = tcA1.base_group
     cases = [(gA1, TripleIndex(gA1.simple(0), gA1.identity, gA1.simple(0)))]
     g = tcA2.base_group
@@ -135,7 +168,9 @@ def test_triples_enumeration_oracle(tcA1, tcA2):
               (g, TripleIndex(g.simple(0) * g.simple(1), g.simple(0), g.simple(0)))]
     for group, top in cases:
         full = ParabolicContext(group, range(group.n)).elements()
-        got = {t.key() for t in triples_below(top) if q_leq(t, top)}
+        listed = [t.key() for t in triples_below(top)]
+        got = set(listed)
+        assert len(listed) == len(got)
         expect = set()
         for w, v, u in itertools.product(full, repeat=3):
             if q_member(w, v, u) and q_leq(TripleIndex(w, v, u), top):
@@ -264,10 +299,7 @@ def test_link_face_poset(tcA1):
     assert v_shape.rank == [0, 0, 1]
     with pytest.raises(ValueError):
         link_face_poset(e, e)
-    bounded = link_face_poset(s, s, bounded=True)
-    assert check_pure(bounded)[0]
-    # the ball's face poset is not thin at the top cell, its boundary is
-    assert not check_thin(bounded)[0]
+    # the boundary, with a bottom and a top adjoined, is thin
     from twistflag import FinitePoset
     bd = link_boundary_poset(s, s)
     n = len(bd.elements)
@@ -276,6 +308,53 @@ def test_link_face_poset(tcA1):
                           | {(i, n + 1) for i in range(n)},
                           [r + 1 for r in bd.rank] + [0, 2])
     assert check_thin(diamond)[0]
+
+
+def _link_face_poset_oracle(w, u):
+    """The link face poset from an all-pairs Bruhat table, as (keys, covers, ranks)."""
+    g = w.group
+    w_down = [x for x in g.ball(w.length()) if g.bruhat_leq(x, w)]
+    u_down = [x for x in g.ball(u.length()) if g.bruhat_leq(x, u)]
+    pairs = [(a, b) for a in w_down for b in u_down
+             if not (a.is_identity() and b.is_identity())]
+    pairs.sort(key=lambda p: (p[0].length() + p[1].length(),
+                              p[0].canonical_word(), p[1].canonical_word()))
+    keys = [(tuple(a.canonical_word()), tuple(b.canonical_word())) for a, b in pairs]
+    ranks = [a.length() + b.length() - 1 for a, b in pairs]
+    covers = set()
+    for i, (a1, b1) in enumerate(pairs):
+        for j, (a2, b2) in enumerate(pairs):
+            if g.bruhat_leq(a1, a2) and g.bruhat_leq(b1, b2) and ranks[j] - ranks[i] == 1:
+                covers.add((i, j))
+    return keys, covers, ranks
+
+
+def _link_boundary_poset_oracle(w, u):
+    """The oracle face poset with its top renumbered away."""
+    keys, covers, ranks = _link_face_poset_oracle(w, u)
+    top_key = (tuple(w.canonical_word()), tuple(u.canonical_word()))
+    keep = [i for i, k in enumerate(keys) if k != top_key]
+    renum = {v: k for k, v in enumerate(keep)}
+    return ([keys[i] for i in keep],
+            {(renum[a], renum[b]) for a, b in covers if a in renum and b in renum},
+            [ranks[i] for i in keep])
+
+
+def test_link_posets_match_oracle():
+    """Every pair of A2, B2 and A3 with 1 <= l(w) + l(u) <= 5 keeps the
+    elements, covers and ranks of its face and boundary posets."""
+    pairs = 0
+    for cartan in (cartan_A(2), cartan_B2(), cartan_A(3)):
+        g = weyl_group(cartan)
+        full = ParabolicContext(g, range(g.n)).elements()
+        for w, u in itertools.product(full, repeat=2):
+            if 1 <= w.length() + u.length() <= 5:
+                fp = link_face_poset(w, u)
+                assert (fp.elements, fp.covers, fp.rank) == _link_face_poset_oracle(w, u)
+                bd = link_boundary_poset(w, u)
+                assert (bd.elements, bd.covers, bd.rank) == _link_boundary_poset_oracle(w, u)
+                pairs += 1
+    assert pairs == 318
 
 
 def test_link_boundary_sphere(tcA2):

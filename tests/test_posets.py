@@ -13,7 +13,8 @@ from twistflag import (CartanMatrix, FinitePoset, MissingReflection, NonReducedW
                        assemble_QJ_interval, cartan_A, cartan_B2,
                        cartan_G2, cartan_affine_A1, check_pure, check_thin,
                        el_label_qj_interval, el_label_twisted_interval,
-                       extend_cartan, j_interval, order_complex, reflection_order_covering,
+                       extend_cartan, j_interval, j_leq, order_complex,
+                       reflection_order_covering,
                        reflection_order_from_word, shelling_order, verify_el)
 from twistflag.posets import (LEFT, RIGHT, EdgeLabel, LabeledPoset,
                               ReflectionOrder, ZERO_HAT, _dihedral_conjugate,
@@ -376,6 +377,102 @@ def test_qj_interval_el(A2):
                 assert check_thin(fp)[0]
                 lp = el_label_qj_interval(fp, A2, ro)
                 assert verify_el(lp).ok
+
+
+def _assemble_QJ_interval_oracle(bottom_pair, top_pair, J):
+    """The closure-poset interval from an all-pairs ``j_leq`` table and an
+    all-pairs cover loop, as (keys, covers, ranks)."""
+    x_top, y_top = top_pair
+    universe = j_interval(x_top, y_top, J)
+    els = universe.elements
+    jl = universe.jlengths
+    leq = {(a, b): (a == b) or ((a, b) in universe.covers) for a in els for b in els}
+    for a in els:
+        for b in els:
+            if jl[b] > jl[a] + 1:
+                leq[(a, b)] = j_leq(a, b, J)
+    if bottom_pair is None:
+        pairs = [(a, b) for a in els for b in els if leq[(a, b)]]
+        augmented = True
+    else:
+        xb, yb = bottom_pair
+        pairs = [(a, b) for a in els for b in els
+                 if leq[(a, b)] and leq[(a, xb)] and leq[(yb, b)]]
+        augmented = False
+
+    def rank(pair):
+        return jl[pair[1]] - jl[pair[0]] + (1 if augmented else 0)
+
+    pairs.sort(key=lambda q: (rank(q), q[0].canonical_word(), q[1].canonical_word()))
+    keys = [(tuple(a.canonical_word()), tuple(b.canonical_word())) for a, b in pairs]
+    ranks = [rank(q) for q in pairs]
+    offset = 0
+    if augmented:
+        keys = [ZERO_HAT] + keys
+        ranks = [0] + ranks
+        offset = 1
+    covers = set()
+    for i, (a1, b1) in enumerate(pairs):
+        for j, (a2, b2) in enumerate(pairs):
+            if ranks[offset + j] - ranks[offset + i] != 1:
+                continue
+            if (a1 == a2 and leq[(b1, b2)]) or (b1 == b2 and leq[(a2, a1)]):
+                covers.add((offset + i, offset + j))
+    if augmented:
+        for i, q in enumerate(pairs):
+            if ranks[offset + i] == 1:
+                covers.add((0, offset + i))
+    base = min(ranks)
+    return keys, covers, [r - base for r in ranks]
+
+
+def _el_label_qj_oracle(fp, group):
+    """The two-sided labels of a closure-poset interval, decoded cover by cover."""
+    labels = {}
+    for (i, j) in fp.covers:
+        if fp.elements[i] == ZERO_HAT:
+            labels[(i, j)] = EdgeLabel("bottom")
+            continue
+        (a1, b1), (a2, b2) = [tuple(group.from_word(k) for k in fp.elements[x]) for x in (i, j)]
+        if a1 == a2:
+            labels[(i, j)] = EdgeLabel(RIGHT, b2 * b1.inverse())
+        else:
+            assert b1 == b2
+            labels[(i, j)] = EdgeLabel(LEFT, a1 * a2.inverse())
+    return labels
+
+
+@pytest.mark.parametrize("cartan,counts", [(cartan_A(2), (76, 340)), (cartan_B2(), (132, 900))],
+                         ids=["A2", "B2"])
+def test_assemble_QJ_interval_matches_oracle(cartan, counts):
+    """Every closure poset of A2 and B2 (every J, every top pair, with the
+    0-hat and with every bottom pair) keeps the elements, covers and ranks
+    of the all-pairs builder, and the augmented ones keep their labels and
+    EL reports."""
+    g = weyl_group(cartan)
+    full = ParabolicContext(g, range(g.n)).elements()
+    ro = reflection_order_from_word(g, g.canonical_word(max(full, key=g.length)))
+    tops = bottoms = 0
+    for J_set in all_subsets(g.n):
+        J = ParabolicContext(g, J_set)
+        for x, y in itertools.product(full, repeat=2):
+            if not j_leq(x, y, J):
+                continue
+            fp = assemble_QJ_interval(None, (x, y), J)
+            assert (fp.elements, fp.covers, fp.rank) == _assemble_QJ_interval_oracle(None, (x, y), J)
+            lp = el_label_qj_interval(fp, g, ro)
+            assert lp.labels == _el_label_qj_oracle(fp, g)
+            want = verify_el(LabeledPoset(fp, _el_label_qj_oracle(fp, g), ro))
+            got = verify_el(lp)
+            assert (got.ok, got.reason, got.interval) == (want.ok, want.reason, want.interval)
+            tops += 1
+            for a, b in itertools.product(j_interval(x, y, J).elements, repeat=2):
+                if j_leq(a, b, J):
+                    fp = assemble_QJ_interval((a, b), (x, y), J)
+                    assert ((fp.elements, fp.covers, fp.rank)
+                            == _assemble_QJ_interval_oracle((a, b), (x, y), J))
+                    bottoms += 1
+    assert (tops, bottoms) == counts
 
 
 def test_qj_label_order_shape(A2):

@@ -300,6 +300,41 @@ def test_j_interval_covers_generate_j_leq():
                     _assert_graded(j_interval(x, y, J))
 
 
+def _j_interval_poset_oracle(iv):
+    """The interval's poset from its elements alone: sorted by (J-length,
+    canonical word), covers by an all-pairs ``j_leq`` test one J-length
+    apart, ranks counted from the bottom; as (keys, covers, ranks) and the
+    cover pairs as elements."""
+    jl = iv.jlengths
+    els = sorted(iv.elements, key=lambda z: (jl[z], z.canonical_word()))
+    covers = {(a, b) for a in els for b in els
+              if jl[b] - jl[a] == 1 and j_leq(a, b, iv.J)}
+    index = {z: k for k, z in enumerate(els)}
+    return (([z.canonical_word() for z in els], {(index[a], index[b]) for a, b in covers},
+             [jl[z] - jl[iv.bottom] for z in els]), covers)
+
+
+def test_j_interval_poset_matches_oracle():
+    """Every twisted interval between elements of length at most 3 in A3,
+    B2 and G2 (every J) keeps the elements, covers and ranks of the
+    all-pairs builder."""
+    intervals = 0
+    for cartan in (cartan_A(3), cartan_B2(), cartan_G2()):
+        g = weyl_group(cartan)
+        els = g.ball(3)
+        for J in all_J(g):
+            for x in els:
+                for y in els:
+                    if j_leq(x, y, J):
+                        iv = j_interval(x, y, J)
+                        fp = iv.to_finite_poset()
+                        poset, covers = _j_interval_poset_oracle(iv)
+                        assert (fp.elements, fp.covers, fp.rank) == poset
+                        assert iv.covers == covers
+                        intervals += 1
+    assert intervals == 874
+
+
 def test_positive_subexpression(A2):
     s1, s2 = A2.simple(0), A2.simple(1)
     e = A2.identity
