@@ -1,11 +1,14 @@
 """The type-A pinning: SL_n generators, stratum identification, and the
 totally positive samplers.
 
-Stratum extraction sweeps the columns with operations of one Borel
-subgroup; the pivot rows left at the end name the cell.  The
-rank-profile dictionaries are not taken from the literature; the test
-suite re-derives them by sampling b1 * lift(w) * b2 over whole symmetric
-groups and checking recovery.
+Every cell is found by one elimination, `ratmat._column_sweep`, which
+sweeps the columns with operations of one Borel subgroup.  Strata read
+its pivot rows, canonical flags its representative, and the big cell and
+the sigma splittings its representative as a triangular factor (the big
+cell is where the leading minors do not vanish, so where an LDU
+factorization exists).  The rank-profile dictionaries are not taken from
+the literature; the test suite re-derives them by sampling
+b1 * lift(w) * b2 over whole symmetric groups and checking recovery.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ from typing import Sequence
 
 from .cartan import cartan_A
 from .errors import DecompositionFails, NonReducedWord, NotLeq, PatternViolation, StratumMismatch
-from .ratmat import RatMatrix, _frac_str, ldu, matrix_to_json, unipotent_lu, unipotent_ul
+from .ratmat import (RatMatrix, _column_sweep, _frac_str, left_factor, matrix_to_json,
+                     unipotent_left_factor)
 from .twisted import j_leq, j_length, minimal_c, mr_positive_subexpression
 from .weyl import DEFAULT_BUDGET, ParabolicContext, WeylElement, weyl_group
 
@@ -135,36 +139,6 @@ class PinnedGroup:
 
 # -- stratum extraction ------------------------------------------------------
 
-def _column_sweep(g: RatMatrix, left_to_right: bool, pivot_bottom: bool) -> tuple:
-    """Sweep the columns of g with column operations of one Borel subgroup.
-
-    Columns are taken left to right (B+) or right to left (B-); each is
-    scaled to 1 at its bottom-most (pivot_bottom) or top-most nonzero
-    entry, and that row is then cleared in the columns still to come.
-    Returns (m, p): m is the canonical representative of g*B+ or g*B-,
-    and p[j] is the pivot row of column j.  Row operations of the left
-    Borel subgroup (B+ for bottom-most pivots, B- for top-most) leave p
-    unchanged, so p names the cell through g.
-    """
-    n = g.n
-    cols = [[Fraction(g.rows[i][j]) for i in range(n)] for j in range(n)]
-    order = range(n) if left_to_right else range(n - 1, -1, -1)
-    p = [None] * n
-    for step, j in enumerate(order):
-        cand = [i for i in range(n) if cols[j][i] != 0]
-        if not cand:
-            raise ZeroDivisionError("matrix is singular")
-        i0 = max(cand) if pivot_bottom else min(cand)
-        p[j] = i0
-        pv = cols[j][i0]
-        cols[j] = [x / pv for x in cols[j]]
-        for k in order[step + 1:]:
-            f = cols[k][i0]
-            if f != 0:
-                cols[k] = [x - f * y for x, y in zip(cols[k], cols[j])]
-    return RatMatrix(list(zip(*cols))), tuple(p)
-
-
 def bruhat_stratum(pin: PinnedGroup, g: RatMatrix) -> WeylElement:
     """The w with g in B+ w B+ (columns left to right, bottom-most pivots)."""
     return pin.weyl_of_perm(_column_sweep(g, True, True)[1])
@@ -249,7 +223,7 @@ def _big_cell_transport(pin: PinnedGroup, g: RatMatrix, r: WeylElement,
     wj0 = pin.lift(J.longest())
     p = pin.lift(r) * wj0
     p_inv = p.transpose()  # a signed permutation matrix
-    return p, p_inv, ldu(p_inv * g * wj0)[0]
+    return p, p_inv, left_factor(p_inv * g * wj0, True)[0]
 
 
 def big_cell_test(pin: PinnedGroup, g: RatMatrix, r: WeylElement,
@@ -271,6 +245,8 @@ def tnn_test(pin: PinnedGroup, g: RatMatrix) -> bool:
     from itertools import combinations
     if pin.n > 5:
         raise ValueError("tnn_test budget: n <= 5")
+    if g.n != pin.n:
+        raise ValueError(f"a {g.n} x {g.n} matrix is not in SL_{pin.n}")
     n = pin.n
     for k in range(1, n + 1):
         subsets = list(combinations(range(n), k))
@@ -371,8 +347,9 @@ def sigma_factorize(pin: PinnedGroup, g: RatMatrix, r: WeylElement,
     rdot = pin.lift(r)
     if not in_juminus(pin, rdot.transpose() * g * rdot, J):
         raise PatternViolation("input is not in the conjugated ^JU^- domain")
-    g1, g2 = unipotent_lu(g)
-    h1, h2 = unipotent_ul(g)
+    gt = g.transpose()  # the right factors are left factors of g^T, transposed back
+    g2 = unipotent_left_factor(gt, True).transpose()
+    h2 = unipotent_left_factor(gt, False).transpose()
     perm = pin.perm_of_weyl(r)
     allowed = {(perm[a], perm[b]) for (a, b) in _juminus_positions(pin, J)}
     for mat, upper in ((g2, True), (h2, False)):
@@ -386,10 +363,24 @@ def sigma_factorize(pin: PinnedGroup, g: RatMatrix, r: WeylElement,
     return g2, h2
 
 
+def _lower_unitriangular_inverse(h: RatMatrix) -> RatMatrix:
+    """h^{-1} by forward substitution; PatternViolation unless h is
+    lower-unitriangular."""
+    n = h.n
+    if any(h.rows[i][k] != (i == k) for i in range(n) for k in range(i, n)):
+        raise PatternViolation("UL right factor is not lower-unitriangular")
+    inv = [[int(i == k) for k in range(n)] for i in range(n)]
+    for i in range(n):
+        for k in range(i):
+            inv[i][k] = -sum(h.rows[i][t] * inv[t][k] for t in range(k, i))
+    return RatMatrix(inv)
+
+
 def sigma_recompose(g2: RatMatrix, h2: RatMatrix) -> RatMatrix:
     """The unique g = h1 h2 with LU right factor g2 and UL right factor h2:
     h1 is the U factor of the unique unipotent LU of g2 h2^{-1} = g1^{-1} h1."""
-    return unipotent_lu(g2 * h2.inverse())[1] * h2
+    x = g2 * _lower_unitriangular_inverse(h2)
+    return unipotent_left_factor(x.transpose(), True).transpose() * h2
 
 
 def sigma_domain_representative(pin: PinnedGroup, m: RatMatrix, r: WeylElement,

@@ -1,39 +1,19 @@
 """Exact rational matrices: the arithmetic substrate for the pinned group.
 
 Entries are Python ints or Fractions; nothing here ever touches floats.
+Every elimination is one Borel column sweep (`_column_sweep`): strata
+read its pivot rows, canonical flags its representative, `det` its pivot
+values, and the triangular factors of an LDU or UDL splitting are its
+representative with its pivots on the diagonal.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import DecompositionFails
-
-
-def row_reduce(rows: Sequence[Sequence], ncols: int):
-    """Gauss-Jordan elimination over Fraction on the first ncols columns.
-
-    Returns (rows, pivot_cols): the reduced rows, each pivot row scaled
-    to 1 at its pivot column and that column cleared in every other row,
-    and the pivot columns in order.  Columns past ncols are carried along.
-    """
-    m = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    for c in range(ncols):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-    return m, pivots
 
 
 class RatMatrix:
@@ -72,34 +52,17 @@ class RatMatrix:
         return RatMatrix(list(zip(*self.rows)))
 
     def det(self) -> Fraction:
-        m = [[Fraction(x) for x in row] for row in self.rows]
-        n = self.n
-        sign = 1
-        out = Fraction(1)
-        for c in range(n):
-            piv = next((r for r in range(c, n) if m[r][c] != 0), None)
-            if piv is None:
-                return Fraction(0)
-            if piv != c:
-                m[c], m[piv] = m[piv], m[c]
-                sign = -sign
-            out *= m[c][c]
-            inv = 1 / m[c][c]
-            for r in range(c + 1, n):
-                if m[r][c] != 0:
-                    f = m[r][c] * inv
-                    m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-        return out * sign
-
-    def inverse(self) -> "RatMatrix":
-        """Exact inverse, by reducing [M | I]."""
-        n = self.n
-        augmented = [list(row) + [int(i == j) for j in range(n)]
-                     for i, row in enumerate(self.rows)]
-        reduced, pivots = row_reduce(augmented, n)
-        if len(pivots) < n:
-            raise ZeroDivisionError("matrix is singular")
-        return RatMatrix([row[n:] for row in reduced])
+        """sign(p) times the pivots of the left-to-right, bottom-most-pivot
+        sweep, which leaves a matrix of determinant sign(p); 0 when the
+        sweep meets a zero column."""
+        try:
+            _, p, pivots = _column_sweep(self, True, True)
+        except ZeroDivisionError:
+            return Fraction(0)
+        out = Fraction(-1 if sum(a > b for a, b in combinations(p, 2)) % 2 else 1)
+        for d in pivots:
+            out *= d
+        return out
 
     def is_identity(self) -> bool:
         return self == RatMatrix.identity(self.n)
@@ -112,50 +75,67 @@ class RatMatrix:
         return f"RatMatrix({[list(map(str, r)) for r in self.rows]})"
 
 
-def ldu(m: RatMatrix):
-    """m = L * D * U with L lower-unitriangular, D diagonal, U upper-unitriangular.
+def _column_sweep(g: RatMatrix, left_to_right: bool, pivot_bottom: bool) -> tuple:
+    """Sweep the columns of g with column operations of one Borel subgroup.
 
-    Exists iff all leading principal minors are nonzero.
+    Columns are taken left to right (B+) or right to left (B-); each is
+    scaled to 1 at its bottom-most (pivot_bottom) or top-most nonzero
+    entry, and that row is then cleared in the columns still to come.
+    Returns (m, p, pivots): m is the canonical representative of g*B+ or
+    g*B-, p[j] is the pivot row of column j, and pivots are the values
+    divided out, in sweep order.  Row operations of the left Borel
+    subgroup (B+ for bottom-most pivots, B- for top-most) leave p
+    unchanged, so p names the cell through g.  A zero column, met only
+    when g is singular, raises ZeroDivisionError.
     """
-    n = m.n
-    a = [[Fraction(x) for x in row] for row in m.rows]
-    L = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for c in range(n):
-        if a[c][c] == 0:
-            raise DecompositionFails(f"leading minor of size {c + 1} vanishes")
-        for r in range(c + 1, n):
-            if a[r][c] != 0:
-                f = a[r][c] / a[c][c]
-                L[r][c] = f
-                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-    D = [a[i][i] for i in range(n)]
-    U = [[a[i][j] / D[i] for j in range(n)] for i in range(n)]
-    return RatMatrix(L), D, RatMatrix(U)
+    n = g.n
+    cols = [[Fraction(g.rows[i][j]) for i in range(n)] for j in range(n)]
+    order = range(n) if left_to_right else range(n - 1, -1, -1)
+    p = [None] * n
+    pivots = []
+    for step, j in enumerate(order):
+        cand = [i for i in range(n) if cols[j][i] != 0]
+        if not cand:
+            raise ZeroDivisionError("matrix is singular")
+        i0 = max(cand) if pivot_bottom else min(cand)
+        p[j] = i0
+        pv = cols[j][i0]
+        pivots.append(pv)
+        cols[j] = [x / pv for x in cols[j]]
+        for k in order[step + 1:]:
+            f = cols[k][i0]
+            if f != 0:
+                cols[k] = [x - f * y for x, y in zip(cols[k], cols[j])]
+    return RatMatrix(list(zip(*cols))), tuple(p), tuple(pivots)
 
 
-def udl(m: RatMatrix):
-    """m = U * D * L with U upper-unitriangular, L lower-unitriangular: the
-    LDU factors of m with rows and columns reversed, each reversed back."""
-    def rev(a):
-        return RatMatrix([row[::-1] for row in a.rows[::-1]])
-    L1, D1, U1 = ldu(rev(m))
-    return rev(L1), D1[::-1], rev(U1)
+def left_factor(m: RatMatrix, left_to_right: bool) -> tuple:
+    """(F, pivots): the left factor of m = L D U (left_to_right: F = L) or
+    of m = U D L (right to left: F = U), read off one sweep.
+
+    The left-to-right, top-most-pivot sweep of m = L D U leaves L, and the
+    right-to-left, bottom-most-pivot sweep of m = U D L leaves U; the
+    pivots are the entries of D in sweep order.  The right factor of
+    either splitting is the left factor of m.transpose(), transposed back.
+    A pivot off the diagonal (a vanishing leading minor) or a singular m
+    raises DecompositionFails.
+    """
+    try:
+        f, p, pivots = _column_sweep(m, left_to_right, not left_to_right)
+    except ZeroDivisionError:
+        raise DecompositionFails("matrix is singular") from None
+    if p != tuple(range(m.n)):
+        raise DecompositionFails("a leading minor vanishes")
+    return f, pivots
 
 
-def unipotent_lu(m: RatMatrix):
-    """m = lower-uni * upper-uni; DecompositionFails if the diagonal is not trivial."""
-    L, D, U = ldu(m)
-    if any(d != 1 for d in D):
-        raise DecompositionFails("LU diagonal is not the identity")
-    return L, U
-
-
-def unipotent_ul(m: RatMatrix):
-    """m = upper-uni * lower-uni; DecompositionFails if the diagonal is not trivial."""
-    U, D, L = udl(m)
-    if any(d != 1 for d in D):
-        raise DecompositionFails("UL diagonal is not the identity")
-    return U, L
+def unipotent_left_factor(m: RatMatrix, left_to_right: bool) -> RatMatrix:
+    """The left factor of m as a product of two unitriangular matrices;
+    DecompositionFails when the diagonal of its splitting is not the identity."""
+    f, pivots = left_factor(m, left_to_right)
+    if any(d != 1 for d in pivots):
+        raise DecompositionFails("unipotent splitting has a nontrivial diagonal")
+    return f
 
 
 def _frac_str(x) -> str:
@@ -168,5 +148,12 @@ def matrix_to_json(m: RatMatrix) -> list:
     return [[_frac_str(x) for x in row] for row in m.rows]
 
 
+def _exact_entry(x) -> Fraction:
+    if isinstance(x, bool) or not isinstance(x, (int, str, Fraction)):
+        raise ValueError(f"entry {x!r} is not exact: use an int or a \"p/q\" string")
+    return Fraction(x)
+
+
 def matrix_from_json(data: Sequence[Sequence[str]]) -> RatMatrix:
-    return RatMatrix(tuple(tuple(Fraction(x) for x in row) for row in data))
+    """Entries as ints or exact "p/q" strings; a float or bool is a ValueError."""
+    return RatMatrix(tuple(tuple(_exact_entry(x) for x in row) for row in data))

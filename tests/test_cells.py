@@ -1,3 +1,5 @@
+import collections
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,8 +17,10 @@ from twistflag import (DecompositionFails, NotComparable, ParabolicContext,
                        sigma_factorize, sigma_recompose, tnn_test,
                        twisted_stratum)
 from twistflag.batteries import all_subsets, twisted_pairs
-from twistflag.cells import sigma_domain_representative
-from twistflag.ratmat import ldu, udl, unipotent_lu, unipotent_ul
+from twistflag.cells import _lower_unitriangular_inverse, sigma_domain_representative
+from twistflag.ratmat import left_factor, unipotent_left_factor
+
+from elimination_oracles import inverse, ldu, pivoted_det, udl, unipotent_lu, unipotent_ul
 
 
 def _dense_product(a, b):
@@ -75,9 +79,10 @@ def test_lift_braid_invariance(pin3, pin4):
 def test_ratmat_basics():
     m = RatMatrix([[1, 2], [3, 4]])
     assert m.det() == -2
-    assert (m * m.inverse()).is_identity()
+    assert (m * inverse(m)).is_identity()
     with pytest.raises(ZeroDivisionError):
-        RatMatrix([[1, 2], [2, 4]]).inverse()
+        inverse(RatMatrix([[1, 2], [2, 4]]))
+    assert RatMatrix([[1, 2], [2, 4]]).det() == 0
     assert m.transpose().rows == ((1, 3), (2, 4))
     assert m.minor([0], [1]) == 2
     assert _leading_minors(m) == [1, -2]
@@ -100,6 +105,16 @@ def test_matrix_json_roundtrip():
     data = matrix_to_json(m)
     assert data == [["1", "2/3"], ["0", "1"]]
     assert matrix_from_json(data) == m
+    assert matrix_from_json([[1, "-2/3"], [0, "1"]]) == RatMatrix([[1, Fraction(-2, 3)], [0, 1]])
+
+
+@pytest.mark.parametrize("entry", [0.1, 1.0, True, False, None, [1]])
+def test_matrix_from_json_refuses_inexact(entry):
+    """A float would become a binary fraction (0.1 is not 1/10), and a
+    bool or any other non-exact type is no matrix entry: each is refused,
+    not coerced."""
+    with pytest.raises(ValueError, match="not exact"):
+        matrix_from_json([[entry, 0], [0, 10]])
 
 
 def _rand_upper(pin, rng):
@@ -301,11 +316,13 @@ def test_sigma_factorize(pin3):
     assert g2.is_identity() and h2 == m
     # conjugated domain element
     rdot = pin3.lift(s1)
-    m = rdot * pin3.y(1, 3) * rdot.inverse()
+    m = rdot * pin3.y(1, 3) * inverse(rdot)
     g2, h2 = sigma_factorize(pin3, m, s1, J0)
     assert sigma_recompose(g2, h2) == m
     with pytest.raises(PatternViolation):
         sigma_factorize(pin3, pin3.x(0, 1), g.identity, J0)  # not in U^-
+    with pytest.raises(PatternViolation):
+        sigma_recompose(RatMatrix.identity(3), pin3.x(0, 1))  # h2 not lower-unitriangular
 
 
 def test_sigma_full_pipeline(pin3):
@@ -370,6 +387,17 @@ def test_tnn(pin2, pin3):
     for a in mats[:3]:
         for b in mats[3:]:
             assert tnn_test(pin3, a * b)
+
+
+def test_tnn_refuses_wrong_size(pin3):
+    """Minors over range(pin.n) would miss the rest of a larger matrix:
+    a 4 x 4 matrix with one negative entry outside the top-left 3 x 3
+    block is refused by PinnedGroup(3), and found by PinnedGroup(4)."""
+    big = RatMatrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, -5, 1]])
+    assert not tnn_test(PinnedGroup(4), big)
+    for g in (big, RatMatrix.identity(2)):
+        with pytest.raises(ValueError, match="not in SL_3"):
+            tnn_test(pin3, g)
 
 
 def test_size_budget():
@@ -464,6 +492,69 @@ def test_udl_matches_reversal_matrix(pair):
     assert (U, D, L) == ref
     diag = RatMatrix([[D[i] if i == j else 0 for j in range(m.n)] for i in range(m.n)])
     assert U * diag * L == m
+    assert left_factor(m, False) == (U, tuple(reversed(D)))
+    assert left_factor(m.transpose(), False)[0].transpose() == L
+
+
+def _random_product(rng, n):
+    """A product of 1 to 8 generators of SL_n (x_i(a) and y_i(a) with a in
+    -3..3, torus elements and simple lifts), so that leading minors vanish
+    by cancellation as well as by permutation; one in four has a row
+    replaced by the sum of two others, which makes it singular."""
+    pin = PinnedGroup(n)
+    m = RatMatrix.identity(n)
+    for _ in range(rng.randint(1, 8)):
+        i, kind = rng.randrange(n - 1), rng.randrange(4)
+        if kind == 3:
+            m = m * pin.lift_simple(i)
+        elif kind == 2:
+            m = m * pin.cochar(i, Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3)))
+        else:
+            m = m * (pin.x, pin.y)[kind](i, rng.randint(-3, 3))
+    if rng.randrange(4) == 0:
+        rows = [list(row) for row in m.rows]
+        a, b, c = rng.sample(range(n), 3) if n > 2 else (0, 1, 1)
+        rows[a] = [x + y for x, y in zip(rows[b], rows[c])]
+        m = RatMatrix(rows)
+    return m
+
+
+def test_sweep_reads_match_oracles():
+    """Seeded random SL2-SL5 products: det is the pivoted determinant, and
+    each triangular factor read off one sweep (the left factor of m, and
+    of m^T transposed back) is the LDU or UDL factor of the elimination
+    oracles, with both sides failing on the same matrices."""
+    rng = random.Random(1901)
+    kinds = collections.Counter()
+    for trial in range(1200):
+        m = _random_product(rng, 2 + trial % 4)
+        assert m.det() == pivoted_det(m)
+        for left_to_right, oracle in ((True, ldu), (False, udl)):
+            try:
+                left, d, right = oracle(m)
+            except DecompositionFails:
+                for a in (m, m.transpose()):
+                    with pytest.raises(DecompositionFails):
+                        left_factor(a, left_to_right)
+                    with pytest.raises(DecompositionFails):
+                        unipotent_left_factor(a, left_to_right)
+                kinds["fails, singular" if m.det() == 0 else "fails"] += 1
+                continue
+            d = tuple(d) if left_to_right else tuple(reversed(d))
+            assert left_factor(m, left_to_right) == (left, d)
+            assert left_factor(m.transpose(), left_to_right) == (right.transpose(), d)
+            unipotent = unipotent_lu if left_to_right else unipotent_ul
+            try:
+                uni = unipotent(m)
+            except DecompositionFails:
+                with pytest.raises(DecompositionFails):
+                    unipotent_left_factor(m, left_to_right)
+                kinds["splits"] += 1
+                continue
+            assert unipotent_left_factor(m, left_to_right) == uni[0]
+            assert unipotent_left_factor(m.transpose(), left_to_right).transpose() == uni[1]
+            kinds["splits, unipotent"] += 1
+    assert all(kinds[k] > 0 for k in ("fails", "fails, singular", "splits", "splits, unipotent"))
 
 
 def test_big_cell_and_sigma_match_oracles(pin3):
@@ -475,6 +566,7 @@ def test_big_cell_and_sigma_match_oracles(pin3):
     els = ParabolicContext(g, range(g.n)).elements()
     sampler = ParamSampler(17)
     seen = set()
+    h2_inverses = 0
     for J_set in all_subsets(g.n):
         J = ParabolicContext(g, J_set)
         wj0 = pin3.lift(J.longest())
@@ -486,18 +578,23 @@ def test_big_cell_and_sigma_match_oracles(pin3):
             for r in els:
                 rd = pin3.lift(r)
                 inside = all(x != 0 for x in _leading_minors(
-                    (rd * wj0).inverse() * m * wj0))
+                    inverse(rd * wj0) * m * wj0))
                 assert big_cell_test(pin3, m, r, J) == inside
                 seen.add(inside)
                 if not (inside and j_leq(v, r, J) and j_leq(r, w, J)):
                     continue
-                L = ldu(wj0.inverse() * rd.inverse() * m * wj0)[0]
+                L = ldu(inverse(wj0) * inverse(rd) * m * wj0)[0]
                 gmat = sigma_domain_representative(pin3, m, r, J)
-                assert gmat == rd * (wj0 * L * wj0.inverse()) * rd.inverse()
+                assert gmat == rd * (wj0 * L * inverse(wj0)) * inverse(rd)
                 g2, h2 = sigma_factorize(pin3, gmat, r, J)
-                L2 = unipotent_lu(g2 * h2.inverse())[0]
-                assert sigma_recompose(g2, h2) == L2.inverse() * g2 == gmat
+                assert (g2, h2) == (unipotent_lu(gmat)[1], unipotent_ul(gmat)[1])
+                h2_inv = _lower_unitriangular_inverse(h2)
+                assert h2_inv == inverse(h2)
+                h2_inverses += 1
+                L2 = unipotent_lu(g2 * h2_inv)[0]
+                assert sigma_recompose(g2, h2) == inverse(L2) * g2 == gmat
     assert seen == {True, False}
+    assert h2_inverses > 0
 
 
 def test_lift_inverses_are_transposes():
@@ -512,7 +609,7 @@ def test_lift_inverses_are_transposes():
             wj0 = pin.lift(ParabolicContext(g, J_set).longest())
             for r in els:
                 for p in (pin.lift(r), pin.lift(r) * wj0):
-                    assert p.transpose() == p.inverse()
+                    assert p.transpose() == inverse(p)
                 pairs += 1
     assert pairs == 220
 

@@ -22,8 +22,9 @@ from twistflag.posets import (LEFT, RIGHT, EdgeLabel, LabeledPoset,
 from twistflag.batteries import all_subsets, twisted_pairs
 from twistflag.doubleflag import (ThickenedCartan, TripleIndex, q_el_label,
                                   q_interval_hat, q_member)
-from twistflag.ratmat import row_reduce
 from twistflag.weyl import weyl_group
+
+from elimination_oracles import row_reduce
 
 
 @pytest.fixture

@@ -11,6 +11,8 @@ from twistflag import (BudgetExceeded, CartanMatrix, ParabolicContext,
                        extend_cartan, inversion_set, simple_reflection)
 from twistflag.weyl import WeylGroup, weyl_group
 
+from elimination_oracles import inverse
+
 
 @pytest.fixture
 def A2():
@@ -329,7 +331,7 @@ def test_weyl_layer_matches_oracles(name):
     if order is not None:
         assert len(g.full_context().elements()) == order
     for w in g.ball(4):
-        assert RatMatrix(w.inverse().mat) == RatMatrix(w.mat).inverse()  # Fraction oracle
+        assert RatMatrix(w.inverse().mat) == inverse(RatMatrix(w.mat))  # Fraction oracle
         assert w.inverse().inverse() is w
         assert g.length(w) == len(canonical_reduced_word(w)) == len(inversion_set(w))
     _check_kernel(g, 3)
